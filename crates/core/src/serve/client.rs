@@ -16,7 +16,7 @@
 //! [`ServeError::Disconnected`] carrying the scorecards that did arrive
 //! — exactly what a resubmit against the recovered daemon will dedupe.
 
-use super::protocol::{read_frame, write_frame, Json, SubmitRequest};
+use super::protocol::{read_frame, setup_stream, write_frame, Json, SubmitRequest};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -113,11 +113,10 @@ pub struct Client {
 
 impl Client {
     /// Connects to a running daemon, with [`DEFAULT_DEADLINE`] on reads
-    /// and writes.
+    /// and writes and `TCP_NODELAY` set.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(DEFAULT_DEADLINE))?;
-        stream.set_write_timeout(Some(DEFAULT_DEADLINE))?;
+        setup_stream(&stream, Some(DEFAULT_DEADLINE))?;
         let read_half = stream.try_clone()?;
         let write_half = stream.try_clone()?;
         Ok(Client {
@@ -129,8 +128,7 @@ impl Client {
 
     /// Overrides the socket read/write deadline (`None` blocks forever).
     pub fn set_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(deadline)?;
-        self.stream.set_write_timeout(deadline)
+        setup_stream(&self.stream, deadline)
     }
 
     fn send(&mut self, frame: &str) -> Result<(), ServeError> {
@@ -263,5 +261,25 @@ impl Client {
             Some("shutdown-ok") => Ok(()),
             other => Err(err(format!("expected shutdown-ok, daemon sent {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon_side, _) = listener.accept().unwrap();
+        assert!(
+            !daemon_side.nodelay().unwrap(),
+            "sockets start with Nagle on"
+        );
+        setup_stream(&daemon_side, None).unwrap();
+        assert!(daemon_side.nodelay().unwrap());
+        assert!(client.stream.nodelay().unwrap());
     }
 }

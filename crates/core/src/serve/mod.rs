@@ -4,7 +4,8 @@
 //! Four layers:
 //!
 //! * [`protocol`] — the wire format (4-byte big-endian length-prefixed
-//!   UTF-8 JSON frames), a dependency-free total JSON parser, request
+//!   UTF-8 JSON frames, one write per frame, sockets set up with
+//!   `TCP_NODELAY`), a dependency-free total JSON parser, request
 //!   parsing and every response renderer. The scorecard renderer here is
 //!   shared by the daemon, the `--local` path and the tests — it is the
 //!   mechanism behind the bit-identical-output contract.

@@ -11,7 +11,11 @@
 //! end-of-stream at a frame boundary (`Ok(None)`) from truncation inside
 //! a frame ([`FrameError::Truncated`]): a client that vanishes mid-frame
 //! never panics the daemon, it surfaces as an error on that connection
-//! only.
+//! only. Both ends of a connection go through [`setup_stream`]
+//! (`TCP_NODELAY` plus deadlines), [`write_frame`] issues one write per
+//! frame and never flushes, and every writer flushes once per burst of
+//! frames — so a reply goes out as soon as it exists, in as few
+//! segments as it fits.
 //!
 //! # JSON
 //!
@@ -36,6 +40,8 @@ use crate::supervise::{JobOutcome, OutcomeTally};
 use crate::workload::KernelId;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 use valign_cache::RealignConfig;
 use valign_kernels::util::Variant;
 use valign_pipeline::{Bucket, PipelineConfig};
@@ -96,8 +102,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame: 4-byte big-endian length, then the payload bytes.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+/// Configures one end of a serve connection, daemon or client side:
+/// `TCP_NODELAY` plus the read/write `deadline` (`None` blocks
+/// forever). Without no-delay, Nagle's algorithm holds each small reply
+/// frame until the previous one is acknowledged, and a client that sends
+/// nothing mid-batch only acknowledges when its delayed-ACK timer fires
+/// (40 ms on Linux) — a fixed stall per submit.
+pub(crate) fn setup_stream(stream: &TcpStream, deadline: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(deadline)?;
+    stream.set_write_timeout(deadline)
+}
+
+/// One frame's wire bytes: 4-byte big-endian length, then the payload.
+pub(crate) fn encode_frame(payload: &str) -> io::Result<Vec<u8>> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -105,9 +123,18 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    Ok(frame)
+}
+
+/// Writes one frame, header and payload in a single `write_all`, so a
+/// frame larger than a `BufWriter`'s buffer never leaves as a lone
+/// 4-byte header segment. Does not flush: the caller flushes once per
+/// burst of frames.
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    w.write_all(&encode_frame(payload)?)
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream exactly at a

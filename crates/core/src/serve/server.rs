@@ -60,9 +60,9 @@
 
 use super::journal::{job_hash, DoneRecord, Journal, PendingRecord, JOURNAL_FILE};
 use super::protocol::{
-    self, compose_scorecard, read_frame, render_accepted, render_batch_done, render_error,
-    render_rejected, render_scorecard, scorecard_body, write_frame, FrameError, Priority, Request,
-    SubmitRequest,
+    self, compose_scorecard, encode_frame, read_frame, render_accepted, render_batch_done,
+    render_error, render_rejected, render_scorecard, scorecard_body, setup_stream, write_frame,
+    FrameError, Priority, Request, SubmitRequest,
 };
 use crate::faults::{FaultClass, FaultSet};
 use crate::sim::{SimJob, TraceSource, TraceStore};
@@ -173,6 +173,8 @@ struct ServeTally {
     /// Journal appends/compactions that failed (durability degraded,
     /// service continued).
     journal_write_errors: u64,
+    /// Failed `accept()` calls, each followed by [`ACCEPT_BACKOFF`].
+    accept_errors: u64,
     outcomes: OutcomeTally,
     /// Stall-bucket aggregate over every measurement the daemon served.
     breakdown: StallBreakdown,
@@ -247,6 +249,7 @@ struct DoneCard {
     body: String,
 }
 
+#[derive(Default)]
 struct Queue {
     heap: BinaryHeap<QueuedJob>,
     /// Monotone arrival counter — the FIFO axis within a priority.
@@ -338,16 +341,7 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let mut queue = Queue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            in_system: HashMap::new(),
-            total: 0,
-            inflight: HashMap::new(),
-            completed: HashMap::new(),
-            recovered: HashSet::new(),
-            rejections: HashMap::new(),
-        };
+        let mut queue = Queue::default();
         let mut journal = None;
         if let Some(dir) = store.disk() {
             match Journal::open(dir.root().join(JOURNAL_FILE)) {
@@ -408,7 +402,8 @@ impl Server {
             .collect();
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            let accept = move || listener.accept().map(|(stream, _)| stream);
+            std::thread::spawn(move || accept_loop(accept, addr, &shared))
         };
         Ok(Server {
             addr,
@@ -454,15 +449,25 @@ fn initiate_shutdown(shared: &Shared, addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Pause after a failed `accept()` before the next one. A persistent
+/// error — EMFILE/ENFILE under a connection flood — would otherwise spin
+/// the accept thread on a core until descriptors free up.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Hands every accepted connection (`accept` is the listener's, or a
+/// test's stand-in) to a detached handler thread until shutdown.
+fn accept_loop(
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
+    addr: SocketAddr,
+    shared: &Arc<Shared>,
+) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept() {
+            Ok(stream) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 let shared = Arc::clone(shared);
-                let addr = listener.local_addr().ok();
                 // Handler threads are detached: they exit when their
                 // client disconnects, and a client that lingers past
                 // shutdown must not block the daemon's exit path.
@@ -472,6 +477,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                shared.lock_tally().accept_errors += 1;
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -479,12 +486,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// One connection: a reader loop on this thread, a writer thread
 /// draining an mpsc channel, so slow job streams never block request
-/// parsing. Both halves run under the configured socket deadline.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: Option<SocketAddr>) {
-    if shared.cfg.io_timeout_ms > 0 {
-        let deadline = Duration::from_millis(shared.cfg.io_timeout_ms);
-        let _ = stream.set_read_timeout(Some(deadline));
-        let _ = stream.set_write_timeout(Some(deadline));
+/// parsing. Both halves run under the configured socket deadline, with
+/// `TCP_NODELAY` set.
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
+    let timeout_ms = shared.cfg.io_timeout_ms;
+    let deadline = (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms));
+    if setup_stream(&stream, deadline).is_err() {
+        return;
     }
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -538,39 +546,47 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: Option<Socke
     drop(tx);
     let _ = writer.join();
     if want_shutdown {
-        if let Some(addr) = addr {
-            initiate_shutdown(shared, addr);
-        }
+        initiate_shutdown(shared, addr);
     }
 }
 
-/// The writing half of one connection. The chaos variants sever the
-/// socket from here — the same side a real daemon crash would tear.
+/// The writing half of one connection. It blocks for the next message,
+/// then drains every message already queued into its buffer and flushes
+/// once: an admit burst (`accepted`, served scorecards, `batch-done`)
+/// leaves as one segment. Channel order is wire order, so a
+/// `batch-done` still follows every sibling scorecard. The chaos
+/// variants sever the socket from here — the same side a real daemon
+/// crash would tear — after writing out every frame queued before them.
 fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<WriterMsg>) {
     let mut w = io::BufWriter::new(stream);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Frame(frame) => {
-                if write_frame(&mut w, &frame).is_err() {
-                    break;
+    while let Ok(first) = rx.recv() {
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match msg {
+                WriterMsg::Frame(frame) => {
+                    if write_frame(&mut w, &frame).is_err() {
+                        return;
+                    }
+                }
+                WriterMsg::Torn(frame) => {
+                    // The header promises the whole frame; deliver half
+                    // and sever — the peer must surface this as
+                    // truncation, not hang on the missing bytes.
+                    if let Ok(bytes) = encode_frame(&frame) {
+                        let _ = w.write_all(&bytes[..4 + frame.len() / 2]);
+                    }
+                    let _ = w.flush();
+                    let _ = w.get_ref().shutdown(Shutdown::Both);
+                    return;
+                }
+                WriterMsg::Hangup => {
+                    let _ = w.flush();
+                    let _ = w.get_ref().shutdown(Shutdown::Both);
+                    return;
                 }
             }
-            WriterMsg::Torn(frame) => {
-                // The header promises the whole frame; deliver half and
-                // sever — the peer must surface this as truncation, not
-                // hang on the missing bytes.
-                let bytes = frame.as_bytes();
-                let _ = w.write_all(&(bytes.len() as u32).to_be_bytes());
-                let _ = w.write_all(&bytes[..bytes.len() / 2]);
-                let _ = w.flush();
-                let _ = w.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
-            WriterMsg::Hangup => {
-                let _ = w.flush();
-                let _ = w.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
+        }
+        if w.flush().is_err() {
+            return;
         }
     }
 }
@@ -1016,7 +1032,8 @@ fn render_stats(shared: &Shared) -> String {
          \"rejected_queue_full\": {}, \"rejected_quota\": {}, \
          \"rejected_budget\": {}, \"deduped\": {}, \"journal_served\": {}, \
          \"cache_served\": {}}}, \
-         \"stall_buckets\": {{{}}}, \"attributed_cycles\": {}}}",
+         \"stall_buckets\": {{{}}}, \"attributed_cycles\": {}, \
+         \"accept_errors\": {}}}",
         s.hits,
         s.misses,
         s.entries,
@@ -1049,6 +1066,7 @@ fn render_stats(shared: &Shared) -> String {
         t.cache_served,
         buckets.join(", "),
         t.attributed_cycles,
+        t.accept_errors,
     );
     out
 }
@@ -1091,6 +1109,117 @@ pub fn run_local(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::client::{Client, ServeError};
+    use std::io::Read;
+    use std::time::Instant;
+
+    #[test]
+    fn persistent_accept_errors_back_off_and_are_counted() {
+        let shared = Arc::new(Shared {
+            store: Arc::new(TraceStore::new()),
+            cfg: ServeConfig::default(),
+            queue: Mutex::default(),
+            ready: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            tally: Mutex::default(),
+            journal: None,
+        });
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut calls = 0u64;
+        let started = Instant::now();
+        // Every accept fails as under descriptor exhaustion; the fourth
+        // observes shutdown and ends the loop.
+        accept_loop(
+            || {
+                calls += 1;
+                if calls == 4 {
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                }
+                Err(io::Error::from_raw_os_error(24))
+            },
+            addr,
+            &shared,
+        );
+        assert_eq!(calls, 4);
+        assert!(
+            started.elapsed() >= 3 * ACCEPT_BACKOFF,
+            "three failed accepts must each back off"
+        );
+        assert_eq!(shared.lock_tally().accept_errors, 3);
+        assert!(render_stats(&shared).contains("\"accept_errors\": 3"));
+    }
+
+    #[test]
+    fn writer_delivers_a_queued_burst_as_sequential_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon, _) = listener.accept().unwrap();
+        // Small frames plus one larger than the writer's 8 KiB buffer.
+        let mut frames: Vec<String> = (0..40)
+            .map(|i| format!("{{\"type\": \"scorecard\", \"job_id\": {i}}}"))
+            .collect();
+        frames.insert(20, format!("{{\"pad\": \"{}\"}}", "x".repeat(20_000)));
+        let (tx, rx) = mpsc::channel();
+        for frame in &frames {
+            tx.send(WriterMsg::Frame(frame.clone())).unwrap();
+        }
+        drop(tx);
+        // Everything is queued before the writer starts: one burst.
+        let writer = std::thread::spawn(move || writer_loop(daemon, &rx));
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        writer.join().unwrap();
+        let mut want = Vec::new();
+        for frame in &frames {
+            write_frame(&mut want, frame).unwrap();
+        }
+        assert!(got == want, "coalesced bytes differ from sequential frames");
+    }
+
+    #[test]
+    fn a_torn_frame_after_whole_frames_delivers_them_first() {
+        const WHOLE: u64 = 3;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon, _) = listener.accept().unwrap();
+        let cards: Vec<String> = (0..=WHOLE)
+            .map(|job_id| compose_scorecard(job_id, "\"kind\": \"completed\"}"))
+            .collect();
+        let queued = cards.clone();
+        let fake_daemon = std::thread::spawn(move || {
+            // Read the submit first so the severed socket closes with FIN.
+            let mut reader = io::BufReader::new(daemon.try_clone().unwrap());
+            read_frame(&mut reader).unwrap().unwrap();
+            let (tx, rx) = mpsc::channel();
+            tx.send(WriterMsg::Frame(render_accepted(queued.len())))
+                .unwrap();
+            for card in &queued[..WHOLE as usize] {
+                tx.send(WriterMsg::Frame(card.clone())).unwrap();
+            }
+            tx.send(WriterMsg::Torn(queued[WHOLE as usize].clone()))
+                .unwrap();
+            tx.send(WriterMsg::Frame(render_batch_done(
+                queued.len(),
+                &OutcomeTally::default(),
+            )))
+            .unwrap();
+            writer_loop(daemon, &rx);
+        });
+        let req = SubmitRequest {
+            client: "torn".to_string(),
+            priority: Priority::Normal,
+            inject: Vec::new(),
+            jobs: Vec::new(),
+        };
+        match client.submit(&req) {
+            Err(ServeError::Disconnected { partial, detail }) => {
+                assert_eq!(partial, cards[..WHOLE as usize], "whole frames intact");
+                assert!(detail.contains("mid-frame"), "{detail}");
+            }
+            other => panic!("expected a mid-batch disconnect, got {other:?}"),
+        }
+        fake_daemon.join().unwrap();
+    }
 
     #[test]
     fn retry_jitter_is_deterministic_and_spread() {

@@ -14,12 +14,14 @@
 //! * an injected panic quarantines exactly the selected job while its
 //!   siblings stay bit-identical to an uninjected run, and an injected
 //!   stall (watchdog overrun) is retried transparently — fault
-//!   isolation holds over the wire.
+//!   isolation holds over the wire;
+//! * a warm single-job submit is not held up by the wire: no reply frame
+//!   waits on the client's delayed ACK.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use valign::core::serve::protocol::{read_frame, write_frame, Json};
 use valign::core::serve::{
     run_local, Client, JobSpec, Priority, ServeConfig, Server, SubmitOutcome, SubmitRequest,
@@ -371,5 +373,42 @@ fn injected_faults_are_isolated_over_the_wire() {
     }
 
     server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn warm_single_job_submits_do_not_wait_on_delayed_acks() {
+    let server = start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // A spec that replays in about a millisecond even in a debug build.
+    let req = plain_request(vec![JobSpec {
+        kernel: "idct4x4".to_string(),
+        variant: "unaligned".to_string(),
+        config: "4-way".to_string(),
+        execs: 2,
+        seed: SEED,
+        realign: "equal-latency".to_string(),
+    }]);
+    // Traces the spec into the memory tier; every later submit replays it.
+    submit_ok(&mut client, &req);
+    let mut ms: Vec<f64> = (0..15)
+        .map(|_| {
+            let started = Instant::now();
+            submit_ok(&mut client, &req);
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    // With Nagle on, each reply frame after `accepted` waited for the
+    // client's delayed ACK: a 40 ms floor under every submit.
+    assert!(
+        median < 25.0,
+        "median submit to batch-done {median:.1} ms is ACK-bound: {ms:?}"
+    );
+    client.shutdown().expect("shutdown handshake");
     server.wait();
 }
