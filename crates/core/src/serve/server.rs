@@ -43,9 +43,14 @@
 //!   bodies when a client resubmits the same spec. Dedup is keyed by the
 //!   job-spec content hash ([`job_hash`]), in memory as well: identical
 //!   specs in flight share one execution, each subscriber getting its
-//!   own `job_id`-stamped copy of the one scorecard body. When the queue
-//!   fully drains the journal compacts and the dedup cache clears.
-//!   Journal write failures are WARN counters in `/stats`, never fatal.
+//!   own `job_id`-stamped copy of the one scorecard body. A body finished
+//!   in this lifetime is kept for each client that asked for it while
+//!   that client still has jobs in the system, so a client that lost
+//!   its connection mid-batch gets it back by resubmitting; how much a
+//!   submit executes never depends on how other clients' submits
+//!   interleave with it. When the queue fully drains the journal
+//!   compacts and the dedup cache clears. Journal write failures are
+//!   WARN counters in `/stats`, never fatal.
 //! * **Chaos**: the server-side `--inject` set (and a submit's own
 //!   `inject` field) can carry connection-fault classes — `disconnect`
 //!   severs the connection in place of a matching job's scorecard,
@@ -244,6 +249,7 @@ struct Subscriber {
 
 /// A finished job's durable result, cached for dedup until the next
 /// drain.
+#[derive(Clone)]
 struct DoneCard {
     kind: String,
     body: String,
@@ -263,19 +269,36 @@ struct Queue {
     /// Subscribers of every queued-or-running job, keyed by job-spec
     /// hash. Presence of a key *is* the in-flight marker.
     inflight: HashMap<u64, Vec<Subscriber>>,
-    /// Finished jobs since the last drain, keyed by job-spec hash —
-    /// resubmitting one of these is answered from the stored body with
-    /// no execution. Seeded from the journal on recovery; cleared (with
-    /// a journal compaction) whenever the queue fully drains.
+    /// Finished jobs any client's resubmit is answered from, keyed by
+    /// job-spec hash, with no execution: bodies recovered from the
+    /// journal, and recovered jobs that finished before anyone
+    /// resubmitted them. Cleared (with a journal compaction) whenever
+    /// the queue fully drains.
     completed: HashMap<u64, DoneCard>,
     /// The subset of `completed` keys that were recovered from a
     /// previous incarnation's journal rather than finished in this
     /// lifetime — the `journal_served` vs `cache_served` stats axis.
     /// Cleared together with `completed` on drain.
     recovered: HashSet<u64>,
+    /// Jobs finished in this lifetime, per client that asked for them,
+    /// kept while that client still has jobs in the system: what it gets
+    /// back without execution if it resubmits after losing its
+    /// connection mid-batch. Dropped with the client's last in-system
+    /// job, so one client's submits never ride on how another's happen
+    /// to interleave with them, and the map stays bounded by the quota.
+    finished: HashMap<String, HashMap<u64, DoneCard>>,
     /// Consecutive load-shedding rejections per client — the attempt
     /// axis of [`jittered_retry_after`]; reset on a successful admit.
     rejections: HashMap<String, u64>,
+}
+
+impl Queue {
+    /// The finished body that answers `client`'s resubmit of `hash`.
+    fn done_card(&self, client: &str, hash: u64) -> Option<&DoneCard> {
+        self.completed
+            .get(&hash)
+            .or_else(|| self.finished.get(client)?.get(&hash))
+    }
 }
 
 struct Shared {
@@ -670,7 +693,7 @@ fn admit(shared: &Arc<Shared>, req: SubmitRequest, reply: &mpsc::Sender<WriterMs
         let mut fresh = 0usize;
         let mut occupying = 0usize;
         for &hash in &hashes {
-            let lane = if q.completed.contains_key(&hash) {
+            let lane = if q.done_card(&req.client, hash).is_some() {
                 Lane::Served
             } else if q.inflight.contains_key(&hash) || in_batch.contains(&hash) {
                 occupying += 1;
@@ -750,7 +773,7 @@ fn admit(shared: &Arc<Shared>, req: SubmitRequest, reply: &mpsc::Sender<WriterMs
             };
             match lane {
                 Lane::Served => {
-                    let Some(card) = q.completed.get(&hash) else {
+                    let Some(card) = q.done_card(&req.client, hash) else {
                         continue;
                     };
                     served.push((
@@ -940,19 +963,30 @@ fn worker_loop(shared: &Arc<Shared>) {
         let subscribers = {
             let mut q = shared.lock_queue();
             let subscribers = q.inflight.remove(&queued.hash).unwrap_or_default();
-            q.completed.insert(
-                queued.hash,
-                DoneCard {
-                    kind: kind.clone(),
-                    body: body.clone(),
-                },
-            );
+            let card = DoneCard {
+                kind: kind.clone(),
+                body: body.clone(),
+            };
             q.total = q.total.saturating_sub(1);
-            for subscriber in &subscribers {
-                if let Some(n) = q.in_system.get_mut(&subscriber.client) {
+            if subscribers.is_empty() {
+                // A recovered job nobody has resubmitted yet: whoever
+                // does is served its body.
+                q.completed.insert(queued.hash, card);
+            } else {
+                for subscriber in &subscribers {
+                    let client = &subscriber.client;
+                    let Some(n) = q.in_system.get_mut(client) else {
+                        continue;
+                    };
                     *n = n.saturating_sub(1);
                     if *n == 0 {
-                        q.in_system.remove(&subscriber.client);
+                        q.in_system.remove(client);
+                        q.finished.remove(client);
+                    } else {
+                        q.finished
+                            .entry(client.clone())
+                            .or_default()
+                            .insert(queued.hash, card.clone());
                     }
                 }
             }
@@ -963,6 +997,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             if q.total == 0 {
                 q.completed.clear();
                 q.recovered.clear();
+                q.finished.clear();
                 shared.with_journal(Journal::compact);
             }
             subscribers

@@ -251,9 +251,9 @@ fn journaled_scorecards_are_served_without_rerunning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A scorecard completed during *this* daemon's lifetime serves a
-/// resubmit from the in-memory dedup cache while other work keeps the
-/// queue from draining — counted as `cache_served`, never as
+/// A scorecard completed during *this* daemon's lifetime serves the same
+/// client's resubmit from the in-memory dedup cache while its other work
+/// is still in the system — counted as `cache_served`, never as
 /// `journal_served` (which is reserved for bodies recovered from a
 /// previous incarnation's journal).
 #[test]
@@ -305,6 +305,63 @@ fn lifetime_cache_serves_are_not_counted_as_journal_served() {
         stat_u64(&stats, "jobs", "journal_served"),
         0,
         "no journal was ever replayed: {stats}"
+    );
+    assert_eq!(background.join().expect("background submit").len(), 2);
+    server.shutdown();
+    server.wait();
+}
+
+/// The lifetime dedup cache belongs to the client that asked: another
+/// client resubmitting a finished spec executes it again, even while
+/// other work keeps the queue from draining. How much a submit executes
+/// therefore never depends on how other clients' submits happen to
+/// interleave with it.
+#[test]
+fn lifetime_cache_serves_only_the_client_that_asked() {
+    let specs = small_specs(4);
+    let quick = specs[0].clone();
+    let slow = JobSpec {
+        execs: 150,
+        ..specs[1].clone()
+    };
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(TraceStore::new()),
+        ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    // Two workers: `quick` completes while `slow` holds the queue open
+    // for seconds, leaving a worker free for the resubmit below.
+    let background = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        submit_ok(&mut client, &plain(vec![quick, slow]))
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = client.stats().expect("stats");
+        if stat_u64(&stats, "jobs", "completed") >= 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "quick job never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stranger = SubmitRequest {
+        client: "stranger".to_string(),
+        ..plain(specs[..1].to_vec())
+    };
+    let cards = submit_ok(&mut client, &stranger);
+    assert_eq!(cards, oracle(&specs[..1]), "re-executed card must match");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat_u64(&stats, "jobs", "cache_served"), 0, "{stats}");
+    assert_eq!(stat_u64(&stats, "jobs", "deduped"), 0, "{stats}");
+    assert!(
+        stat_u64(&stats, "jobs", "completed") >= 2,
+        "the stranger's resubmit must have executed: {stats}"
     );
     assert_eq!(background.join().expect("background submit").len(), 2);
     server.shutdown();
