@@ -416,7 +416,7 @@ pub fn audit_matrix(ctx: &SimContext, opts: AuditOptions) -> MatrixAuditReport {
     let start = Instant::now();
     let mut pairs = Vec::new();
     for key in matrix_keys(opts.execs, opts.seed) {
-        let prepared = ctx.store().prepared(key);
+        let prepared = ctx.store().prepared_for_records(key);
         let ictx = ImageCtx::new(&prepared.image, key.kernel.label(), key.variant.label());
         let mut diagnostics = crate::analyze_image(&ictx);
         let mut soundness_pass = false;

@@ -426,7 +426,7 @@ fn lint_into(
     // packed arrays a replay would consume — when the context's store is
     // disk-backed (`valign lint --store-dir`), that is the image decoded
     // from the `.vimg` file, so the whole decode path is under the gate.
-    let prepared = ctx.store().prepared(TraceKey {
+    let prepared = ctx.store().prepared_for_records(TraceKey {
         kernel,
         variant,
         execs: opts.execs,

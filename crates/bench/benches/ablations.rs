@@ -192,25 +192,22 @@ fn store_path(ctx: &SimContext, n: usize) {
     println!("== Ablation 4: store path — Fig. 5 software sequence vs stvxu ==");
     println!("(luma 8x8, whose narrow stores need the partial-store idiom)\n");
     let variants = [Variant::Altivec, Variant::Unaligned];
+    let key = |variant| TraceKey {
+        kernel: KernelId::Luma(BlockSize::B8x8),
+        variant,
+        execs: n,
+        seed: SEED,
+    };
     let jobs = variants
         .iter()
-        .map(|&variant| {
-            let key = TraceKey {
-                kernel: KernelId::Luma(BlockSize::B8x8),
-                variant,
-                execs: n,
-                seed: SEED,
-            };
-            SimJob::keyed(key, PipelineConfig::four_way())
-        })
+        .map(|&variant| SimJob::keyed(key(variant), PipelineConfig::four_way()))
         .collect();
     let results = ctx.run_batch("ablation-store", jobs);
     for (&variant, r) in variants.iter().zip(&results) {
-        let trace = ctx.trace(KernelId::Luma(BlockSize::B8x8), variant, n, SEED);
         println!(
             "  {:<10} {:>8} instructions, {:>9} cycles, {} unaligned accesses",
             variant.label(),
-            trace.len(),
+            ctx.store().prepared(key(variant)).image.len(),
             r.cycles,
             r.unaligned_accesses
         );

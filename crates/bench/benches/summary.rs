@@ -33,17 +33,17 @@ fn main() {
     }
 
     // --- Claim 2: SAD permute elimination (~95%). ---
-    let av = ctx
-        .trace(KernelId::Sad(BlockSize::B16x16), Variant::Altivec, n, SEED)
-        .mix();
-    let un = ctx
-        .trace(
-            KernelId::Sad(BlockSize::B16x16),
-            Variant::Unaligned,
-            n,
-            SEED,
-        )
-        .mix();
+    let sad_mix = |variant| {
+        let key = TraceKey {
+            kernel: KernelId::Sad(BlockSize::B16x16),
+            variant,
+            execs: n,
+            seed: SEED,
+        };
+        ctx.store().prepared(key).image.mix()
+    };
+    let av = sad_mix(Variant::Altivec);
+    let un = sad_mix(Variant::Unaligned);
     let perm_drop = 100.0 * (av.get(InstrClass::VecPerm) - un.get(InstrClass::VecPerm)) as f64
         / av.get(InstrClass::VecPerm) as f64;
     println!("\n2. SAD permute elimination (paper: ~95%): measured {perm_drop:.1}%");

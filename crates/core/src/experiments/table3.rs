@@ -7,7 +7,7 @@
 //! executions of each kernel; counts here are per `execs` executions of
 //! one block-level kernel call.
 
-use crate::sim::SimContext;
+use crate::sim::{SimContext, TraceKey};
 use crate::workload::KernelId;
 use std::fmt::Write as _;
 use valign_isa::{InstrClass, MixCounts};
@@ -41,13 +41,20 @@ pub fn run(execs: usize, seed: u64) -> Table3 {
 /// Runs the Table III experiment against a shared context.
 ///
 /// Pure trace analysis — no replays, so no batch: the rows read their
-/// instruction mixes straight off the store's shared traces, which the
-/// figure drivers then replay without re-tracing.
+/// instruction mixes off the opcode column of the store's shared replay
+/// images, which the figure drivers then replay without re-tracing. No
+/// record-form trace is kept for it.
 pub fn run_with(ctx: &SimContext, execs: usize, seed: u64) -> Table3 {
     let mut rows = Vec::new();
     for &(kernel, label) in KernelId::TABLE_III {
         for &variant in Variant::ALL {
-            let mix = ctx.trace(kernel, variant, execs, seed).mix();
+            let key = TraceKey {
+                kernel,
+                variant,
+                execs,
+                seed,
+            };
+            let mix = ctx.store().prepared(key).image.mix();
             rows.push(Row {
                 kernel: label.to_string(),
                 variant,

@@ -252,8 +252,9 @@ pub fn run(execs: usize, seed: u64, repeats: usize, store_dir: Option<&Path>) ->
         .map(|cfg| cfg.with_realign(RealignConfig::equal_latency()))
         .collect();
 
-    // Generate and image every trace before any timing. `trace()` here
-    // pins the canonical trace eagerly so the reference pass never pays
+    // Generate and image every trace before any timing. The records
+    // lookup keeps each key's first-build trace, so `trace()` here pins
+    // it without tracing twice and the reference pass never pays
     // materialization inside a timed region.
     let mut jobs = Vec::with_capacity(KernelId::ALL.len() * configs.len() * Variant::ALL.len());
     for (kernel_idx, &kernel) in KernelId::ALL.iter().enumerate() {
@@ -265,7 +266,7 @@ pub fn run(execs: usize, seed: u64, repeats: usize, store_dir: Option<&Path>) ->
                     execs,
                     seed,
                 };
-                let prepared = store.prepared(key);
+                let prepared = store.prepared_for_records(key);
                 jobs.push(BenchJob {
                     kernel_idx,
                     key,

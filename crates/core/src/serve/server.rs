@@ -1052,7 +1052,7 @@ fn render_stats(shared: &Shared) -> String {
         out,
         "{{\"type\": \"stats\", \
          \"store\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
-         \"memory_hit_rate\": {:.4}, \"disk_enabled\": {}, \
+         \"resident_bytes\": {}, \"memory_hit_rate\": {:.4}, \"disk_enabled\": {}, \
          \"disk_hits\": {}, \"disk_misses\": {}, \"disk_invalid\": {}, \
          \"disk_quarantined\": {}, \"disk_write_failures\": {}, \
          \"disk_hit_rate\": {:.4}}}, \
@@ -1072,6 +1072,7 @@ fn render_stats(shared: &Shared) -> String {
         s.hits,
         s.misses,
         s.entries,
+        s.resident_bytes,
         rate(s.hits, s.misses),
         s.disk_enabled,
         s.disk_hits,
@@ -1182,6 +1183,35 @@ mod tests {
         );
         assert_eq!(shared.lock_tally().accept_errors, 3);
         assert!(render_stats(&shared).contains("\"accept_errors\": 3"));
+    }
+
+    #[test]
+    fn stats_frame_reports_store_residency() {
+        use crate::serve::protocol::Json;
+        let store = TraceStore::new();
+        let _ = store.prepared(crate::sim::TraceKey {
+            kernel: crate::workload::KernelId::Idct4x4,
+            variant: valign_kernels::util::Variant::Unaligned,
+            execs: 2,
+            seed: 1,
+        });
+        let expected = store.stats().resident_bytes;
+        assert!(expected > 0);
+        let shared = Shared {
+            store: Arc::new(store),
+            cfg: ServeConfig::default(),
+            queue: Mutex::default(),
+            ready: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            tally: Mutex::default(),
+            journal: None,
+        };
+        let stats = Json::parse(&render_stats(&shared)).unwrap();
+        let resident = stats
+            .get("store")
+            .and_then(|s| s.get("resident_bytes"))
+            .and_then(Json::as_u64);
+        assert_eq!(resident, Some(expected));
     }
 
     #[test]

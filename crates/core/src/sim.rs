@@ -9,21 +9,25 @@
 //!
 //! * [`TraceStore`] — two-tier content-addressed cache keyed by
 //!   [`TraceKey`]`(kernel, variant, execs, seed)` holding
-//!   [`PreparedTrace`]s: the packed [`ReplayImage`] plus (lazily) the
-//!   `Arc<Trace>`-shared canonical trace, shared across every config and
-//!   thread that replays the key. The memory tier works exactly as
-//!   before: distinct keys materialize in parallel; each key is
-//!   materialized exactly once no matter how many jobs or threads request
-//!   it. With [`TraceStore::with_disk`] a persistent tier sits behind it:
-//!   a memory miss first tries the content-addressed image file
-//!   (`{content_hash:016x}.vimg` under the store directory, see
-//!   `valign-store`), and only a disk miss traces and compiles the
-//!   image — then writes it back, so the next process starts warm. Every
-//!   disk load climbs `valign-store`'s full integrity ladder; a file that
-//!   fails any rung is quarantined and rebuilt from source, the rebuild
-//!   recorded in the entry's [`ImageProvenance`] so supervised replays
-//!   degrade that key's jobs instead of silently trusting a
-//!   once-corrupt file.
+//!   [`PreparedTrace`]s, shared across every config and thread that
+//!   replays the key. Every entry is *image-only*, however it was filled:
+//!   it keeps the packed [`ReplayImage`] the replay loop walks, and
+//!   re-derives the record-form `Trace` from its key only when someone
+//!   asks for records. A build traces the key, compiles the image and
+//!   drops the trace before the entry is published — unless the lookup
+//!   came through [`TraceStore::prepared_for_records`], whose caller is
+//!   about to read the records anyway. Distinct keys materialize in
+//!   parallel; each key is materialized exactly once no matter how many
+//!   jobs or threads request it. With [`TraceStore::with_disk`] a
+//!   persistent tier sits behind it: a memory miss first tries the
+//!   content-addressed image file (`{content_hash:016x}.vimg` under the
+//!   store directory, see `valign-store`), and only a disk miss traces
+//!   and compiles the image — then writes it back, so the next process
+//!   starts warm. Every disk load climbs `valign-store`'s full integrity
+//!   ladder; a file that fails any rung is quarantined and rebuilt from
+//!   source, the rebuild recorded in the entry's [`ImageProvenance`] so
+//!   supervised replays degrade that key's jobs instead of silently
+//!   trusting a once-corrupt file.
 //! * [`SimJob`] / [`BatchRunner`] — a replay expressed as
 //!   `(trace source, PipelineConfig)` and executed on a scoped-thread
 //!   worker pool (std only). Jobs are dispatched largest-estimated-trace
@@ -113,29 +117,24 @@ pub enum ImageProvenance {
     },
 }
 
-/// The canonical trace behind a prepared entry: materialized eagerly when
-/// the image was built from source (tracing produces it anyway), lazily
-/// when the image came off disk — the whole point of the persistent tier
-/// is that a warm replay never pays for trace generation.
-#[derive(Debug, Clone)]
-enum TraceHandle {
-    Eager(Arc<Trace>),
-    Lazy {
-        key: TraceKey,
-        cell: Arc<OnceLock<Arc<Trace>>>,
-    },
-}
-
-/// A replay image together with (possibly lazy) access to its canonical
-/// trace, ready to be replayed on any machine configuration.
+/// A replay image together with lazy access to its canonical trace,
+/// ready to be replayed on any machine configuration.
 ///
-/// The canonical [`Trace`] stays authoritative for everything that wants
-/// records (`valign-analyze`, trace statistics); the [`ReplayImage`] is
-/// the form the engine's hot loop actually iterates. Both are `Arc`-shared
-/// so cloning a `PreparedTrace` is refcount bumps.
+/// The [`ReplayImage`] is the form the engine's hot loop iterates, and the
+/// only form a store entry keeps by default: the record-form [`Trace`]
+/// costs about three times the image's bytes and no replay reads it. The
+/// trace stays authoritative for everything that wants records
+/// (`valign-analyze`, the supervisor's degradation path) and is
+/// re-derived from the entry's key on first demand — tracing is
+/// deterministic, so the re-derived records are the ones the image was
+/// compiled from. Everything is `Arc`-shared: cloning a `PreparedTrace`
+/// is refcount bumps, and all clones of one entry share one records cell.
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
-    trace: TraceHandle,
+    /// The key records are re-derived from; `None` only for a
+    /// store-bypassing shared trace, whose records cell starts filled.
+    key: Option<TraceKey>,
+    records: Arc<OnceLock<Arc<Trace>>>,
     /// The packed structure-of-arrays replay form of the trace.
     pub image: Arc<ReplayImage>,
     /// Checksum of `image` taken at compile (or verified load) time. A
@@ -149,57 +148,54 @@ pub struct PreparedTrace {
 }
 
 impl PreparedTrace {
-    /// Compiles `trace` into its replay image and checksums it.
+    /// Compiles `trace` into its replay image and checksums it. The entry
+    /// keeps `trace` as its records: it has no key to re-derive them from.
     pub fn new(trace: Arc<Trace>) -> Self {
         let image = ReplayImage::build(&trace).into_shared();
-        let image_checksum = image.checksum();
         PreparedTrace {
-            trace: TraceHandle::Eager(trace),
+            key: None,
+            records: Arc::new(OnceLock::from(trace)),
+            image_checksum: image.checksum(),
             image,
-            image_checksum,
             provenance: ImageProvenance::Built,
         }
     }
 
-    /// Wraps a disk-loaded (already verified) image; the canonical trace
-    /// is re-traced from `key` only if someone asks for records.
-    fn from_disk(
+    /// Wraps an already compiled (or verified) image of `key`; the
+    /// canonical trace is re-traced from `key` only if someone asks for
+    /// records.
+    fn image_only(
         key: TraceKey,
         image: Arc<ReplayImage>,
         image_checksum: u64,
         provenance: ImageProvenance,
     ) -> Self {
         PreparedTrace {
-            trace: TraceHandle::Lazy {
-                key,
-                cell: Arc::new(OnceLock::new()),
-            },
+            key: Some(key),
+            records: Arc::default(),
             image,
             image_checksum,
             provenance,
         }
     }
 
-    /// The canonical record-form trace, generating it on first call for
-    /// disk-loaded entries. All clones of one entry share the generated
-    /// `Arc`.
+    /// The canonical record-form trace, re-deriving it from the key on
+    /// first call. All clones of one entry share the derived `Arc`.
     pub fn trace(&self) -> Arc<Trace> {
-        match &self.trace {
-            TraceHandle::Eager(trace) => Arc::clone(trace),
-            TraceHandle::Lazy { key, cell } => Arc::clone(cell.get_or_init(|| {
-                trace_kernel(key.kernel, key.variant, key.execs, key.seed).into_shared()
-            })),
-        }
+        Arc::clone(self.records.get_or_init(|| {
+            let key = self
+                .key
+                .expect("keyless entries are created with their records");
+            trace_kernel(key.kernel, key.variant, key.execs, key.seed).into_shared()
+        }))
     }
 
-    /// Whether the canonical trace is materialized (always true for
-    /// built entries; true for disk-loaded ones only after someone
-    /// called [`PreparedTrace::trace`]).
+    /// Whether the canonical trace is materialized: true for shared
+    /// traces, for entries filled through
+    /// [`TraceStore::prepared_for_records`], and for any entry after
+    /// someone called [`PreparedTrace::trace`].
     pub fn trace_materialized(&self) -> bool {
-        match &self.trace {
-            TraceHandle::Eager(_) => true,
-            TraceHandle::Lazy { cell, .. } => cell.get().is_some(),
-        }
+        self.records.get().is_some()
     }
 }
 
@@ -221,6 +217,13 @@ pub struct TraceStoreStats {
     pub entries: usize,
     /// Total dynamic instructions across all cached images.
     pub instructions: u64,
+    /// Approximate heap bytes the memory tier holds: every resident
+    /// image plus every materialized record-form trace.
+    pub resident_bytes: u64,
+    /// Resident entries whose record-form trace is materialized. Zero
+    /// after a replay-only workload: entries are image-only until
+    /// someone asks for records.
+    pub materialized_traces: usize,
     /// Whether a persistent tier is attached.
     pub disk_enabled: bool,
     /// Disk-tier hits: memory misses satisfied by a verified image file.
@@ -251,7 +254,8 @@ impl TraceStoreStats {
 }
 
 /// Two-tier content-addressed store of immutable, `Arc`-shared prepared
-/// traces (packed replay image + lazily materialized canonical trace).
+/// traces: image-only entries whose canonical trace is re-derived on
+/// demand.
 ///
 /// Thread-safe: the map lock is held only to find or create a key's cell,
 /// never while tracing, imaging or touching disk, so distinct keys
@@ -310,18 +314,33 @@ impl TraceStore {
 
     /// The trace for `key`, generating it on first request. Repeated calls
     /// return clones of the same `Arc`. Note this materializes the
-    /// *canonical trace* even when the image came off disk — replay-only
-    /// callers want [`TraceStore::prepared`].
+    /// *canonical trace*, which then stays resident beside the image —
+    /// replay-only callers want [`TraceStore::prepared`].
     pub fn get(&self, key: TraceKey) -> Arc<Trace> {
-        self.prepared(key).trace()
+        self.prepared_for_records(key).trace()
     }
 
-    /// The prepared (replay image + trace handle) form of `key`,
+    /// The prepared (replay image + lazy trace) form of `key`,
     /// materializing it on first request: from the persistent tier when a
     /// verified image file exists, else by tracing and compiling from
     /// source. Repeated calls share the same `Arc`s, so every machine
-    /// configuration and worker thread replays one image per key.
+    /// configuration and worker thread replays one image per key. A build
+    /// drops its trace once the image exists; the entry re-derives
+    /// records only if someone asks.
     pub fn prepared(&self, key: TraceKey) -> PreparedTrace {
+        self.lookup(key, false)
+    }
+
+    /// [`TraceStore::prepared`] for a caller about to read the records: a
+    /// first-contact build keeps the trace it just produced, so the
+    /// caller's [`PreparedTrace::trace`] never traces the key a second
+    /// time. Disk loads and already resident entries are returned as
+    /// they are; their records are re-derived on the first `trace()`.
+    pub fn prepared_for_records(&self, key: TraceKey) -> PreparedTrace {
+        self.lookup(key, true)
+    }
+
+    fn lookup(&self, key: TraceKey, keep_trace: bool) -> PreparedTrace {
         let cell = {
             let mut map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
             map.entry(key).or_default().clone()
@@ -330,7 +349,7 @@ impl TraceStore {
         let prepared = cell
             .get_or_init(|| {
                 materialized = true;
-                let prepared = self.materialize(key);
+                let prepared = self.materialize(key, keep_trace);
                 self.instructions
                     .fetch_add(prepared.image.len() as u64, Ordering::Relaxed);
                 prepared
@@ -351,15 +370,15 @@ impl TraceStore {
     /// than trust a store that served corrupt bytes. A failed write-back
     /// degrades the key to the memory tier and bumps a WARN counter; it
     /// never fails the batch.
-    fn materialize(&self, key: TraceKey) -> PreparedTrace {
+    fn materialize(&self, key: TraceKey, keep_trace: bool) -> PreparedTrace {
         let Some(dir) = &self.disk else {
-            return self.build(key, ImageProvenance::Built);
+            return build(key, ImageProvenance::Built, keep_trace);
         };
         let hash = key.content_hash();
         match dir.load(hash) {
             Ok(stored) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                PreparedTrace::from_disk(
+                PreparedTrace::image_only(
                     key,
                     Arc::new(stored.image),
                     stored.checksum,
@@ -368,7 +387,7 @@ impl TraceStore {
             }
             Err(StoreError::Missing) => {
                 self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                let prepared = self.build(key, ImageProvenance::Built);
+                let prepared = build(key, ImageProvenance::Built, keep_trace);
                 self.write_back(dir, key, hash, &prepared);
                 prepared
             }
@@ -381,7 +400,7 @@ impl TraceStore {
                 } else {
                     dir.evict(hash);
                 }
-                let prepared = self.build(key, ImageProvenance::DiskRebuilt { error });
+                let prepared = build(key, ImageProvenance::DiskRebuilt { error }, keep_trace);
                 self.write_back(dir, key, hash, &prepared);
                 prepared
             }
@@ -409,14 +428,6 @@ impl TraceStore {
         }
     }
 
-    fn build(&self, key: TraceKey, provenance: ImageProvenance) -> PreparedTrace {
-        let mut prepared = PreparedTrace::new(
-            trace_kernel(key.kernel, key.variant, key.execs, key.seed).into_shared(),
-        );
-        prepared.provenance = provenance;
-        prepared
-    }
-
     /// Dynamic instruction count of `key`'s trace if it is resident, i.e.
     /// already materialized. Used by the batch runner to order dispatch by
     /// estimated size without forcing materialization.
@@ -429,16 +440,26 @@ impl TraceStore {
 
     /// Usage counters (per-tier hits and misses, residency).
     pub fn stats(&self) -> TraceStoreStats {
-        let entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
+        let (entries, resident_bytes, materialized_traces) = {
+            let map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut bytes = 0;
+            let mut traces = 0;
+            for prepared in map.values().filter_map(|cell| cell.get()) {
+                bytes += prepared.image.approx_bytes();
+                if let Some(trace) = prepared.records.get() {
+                    bytes += trace.approx_bytes();
+                    traces += 1;
+                }
+            }
+            (map.len(), bytes as u64, traces)
+        };
         TraceStoreStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries,
             instructions: self.instructions.load(Ordering::Relaxed),
+            resident_bytes,
+            materialized_traces,
             disk_enabled: self.disk.is_some(),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
@@ -447,6 +468,20 @@ impl TraceStore {
             disk_write_failures: self.disk_write_failures.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Traces `key` and compiles its image-only entry. The trace is dropped
+/// here unless `keep_trace` (the caller is about to read records): no
+/// replay reads it, and it is about three times the image's size.
+fn build(key: TraceKey, provenance: ImageProvenance, keep_trace: bool) -> PreparedTrace {
+    let trace = trace_kernel(key.kernel, key.variant, key.execs, key.seed);
+    let image = ReplayImage::build(&trace).into_shared();
+    let image_checksum = image.checksum();
+    let prepared = PreparedTrace::image_only(key, image, image_checksum, provenance);
+    if keep_trace {
+        let _ = prepared.records.set(trace.into_shared());
+    }
+    prepared
 }
 
 /// Where a job's trace comes from.
@@ -794,16 +829,6 @@ impl SimContext {
         &self.store
     }
 
-    /// Shorthand for a store lookup.
-    pub fn trace(&self, kernel: KernelId, variant: Variant, execs: usize, seed: u64) -> Arc<Trace> {
-        self.store.get(TraceKey {
-            kernel,
-            variant,
-            execs,
-            seed,
-        })
-    }
-
     /// Runs one batch, recording its wall time under `label`.
     pub fn run_batch(&self, label: &str, jobs: Vec<SimJob>) -> Vec<SimResult> {
         let started = Instant::now();
@@ -877,9 +902,10 @@ impl SimContext {
             "disk tier off".to_string()
         };
         out.push_str(&format!(
-            "trace store: {} traces ({} instructions), memory {} hits / {} misses, {} — {}\n",
+            "trace store: {} traces ({} instructions, {:.1} MB resident), memory {} hits / {} misses, {} — {}\n",
             stats.entries,
             stats.instructions,
+            stats.resident_bytes as f64 / 1e6,
             stats.hits,
             stats.misses,
             disk,
@@ -976,13 +1002,56 @@ mod tests {
         let store = TraceStore::new();
         let a = store.prepared(key(3));
         let b = store.prepared(key(3));
-        assert!(Arc::ptr_eq(&a.trace(), &b.trace()));
-        assert!(Arc::ptr_eq(&a.image, &b.image), "one image per key");
-        assert_eq!(a.image.len(), a.trace().len());
         assert_eq!(a.provenance, ImageProvenance::Built);
-        assert!(a.trace_materialized(), "built entries carry their trace");
-        // `get` shares the same trace Arc as `prepared`.
-        assert!(Arc::ptr_eq(&store.get(key(3)), &a.trace()));
+        assert!(Arc::ptr_eq(&a.image, &b.image), "one image per key");
+        assert!(
+            !a.trace_materialized(),
+            "a replay-only build keeps only the image"
+        );
+        assert_eq!(store.stats().materialized_traces, 0);
+
+        // Records are re-derived on demand: the same stream a fresh
+        // trace would record, compiling to the same image.
+        let derived = a.trace();
+        let fresh = trace_kernel(KernelId::Sad(BlockSize::B8x8), Variant::Unaligned, 3, 7);
+        assert_eq!(derived.instrs(), fresh.instrs());
+        assert_eq!(ReplayImage::build(&derived).checksum(), a.image_checksum);
+
+        // Every clone of the entry shares the one derived Arc, and so do
+        // later lookups and `get`.
+        assert!(b.trace_materialized());
+        assert!(Arc::ptr_eq(&derived, &b.trace()));
+        assert!(Arc::ptr_eq(&derived, &store.prepared(key(3)).trace()));
+        assert!(Arc::ptr_eq(&derived, &store.get(key(3))));
+        assert_eq!(store.stats().materialized_traces, 1);
+
+        // A records-wanting first lookup keeps the trace its build
+        // produced instead of tracing again on `trace()`.
+        let records = store.prepared_for_records(key(4));
+        assert!(records.trace_materialized());
+        assert_eq!(records.image.len(), records.trace().len());
+        assert!(store.stats().traced_exactly_once());
+    }
+
+    #[test]
+    fn resident_bytes_count_images_and_materialized_traces() {
+        let store = TraceStore::new();
+        let image_only = store.prepared(key(2));
+        let with_records = store.prepared_for_records(key(4));
+        let s = store.stats();
+        assert_eq!(s.materialized_traces, 1);
+        let images = image_only.image.approx_bytes() + with_records.image.approx_bytes();
+        assert_eq!(
+            s.resident_bytes,
+            (images + with_records.trace().approx_bytes()) as u64
+        );
+        // Asking the image-only entry for records grows the gauge by
+        // exactly the derived trace.
+        let derived = image_only.trace();
+        assert_eq!(
+            store.stats().resident_bytes,
+            s.resident_bytes + derived.approx_bytes() as u64
+        );
     }
 
     /// A scratch on-disk tier under the system temp dir, removed on drop.

@@ -60,7 +60,7 @@ use crate::hash::WordHash;
 use crate::lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 use crate::result::SimError;
 use std::collections::VecDeque;
-use valign_isa::{DynInstr, MemKind, Opcode, StaticId, Trace, Unit};
+use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace, Unit};
 
 /// Sentinel producer index: the source slot is absent or its producer is
 /// outside the trace.
@@ -436,6 +436,17 @@ impl ReplayImage {
             get_bit(&self.branch_taken, ord),
             get_bit(&self.branch_uncond, ord),
         ))
+    }
+
+    /// Per-class dynamic instruction counts (a Table III row), read off
+    /// the opcode column alone — equal to [`Trace::mix`] of the trace the
+    /// image was compiled from, without needing the records.
+    pub fn mix(&self) -> MixCounts {
+        let mut m = MixCounts::new();
+        for op in &self.ops {
+            m.record(op.class());
+        }
+        m
     }
 
     /// Approximate heap footprint in bytes, for cache accounting.

@@ -160,9 +160,11 @@ proptest! {
         // programs (ALU chains, overlapping loads/stores, unaligned
         // vector accesses, loop branches) the image walk and the
         // record-form reference walk produce equal results on every
-        // configuration, cold and warm.
+        // configuration, cold and warm; its opcode column alone yields
+        // the trace's instruction mix.
         let t = random_trace(seed, 400);
         let image = ReplayImage::build(&t);
+        prop_assert_eq!(image.mix(), t.mix());
         for cfg in PipelineConfig::table_ii() {
             let mut reference = Simulator::new(cfg.clone());
             let mut packed = Simulator::new(cfg.clone());

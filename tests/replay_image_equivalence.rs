@@ -61,6 +61,24 @@ fn every_kernel_variant_and_config_is_bit_identical() {
     }
 }
 
+/// Table III reads its instruction mixes off the image's opcode column;
+/// for every kernel/variant that must equal the record-form trace's mix.
+#[test]
+fn image_mix_matches_trace_mix_for_every_kernel_variant() {
+    for &kernel in KernelId::ALL {
+        for &variant in Variant::ALL {
+            let trace = trace_kernel(kernel, variant, EXECS, SEED);
+            assert_eq!(
+                ReplayImage::build(&trace).mix(),
+                trace.mix(),
+                "{}/{}",
+                kernel.label(),
+                variant.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn convenience_entry_points_agree() {
     let trace = trace_kernel(

@@ -2,7 +2,7 @@
 //! deterministic across thread counts, and shared-trace replays are pure.
 
 use proptest::prelude::*;
-use valign::core::experiments::{fig8, fig9};
+use valign::core::experiments::{fig8, fig9, table3};
 use valign::core::sim::{SimContext, TraceKey, TraceStore};
 use valign::core::workload::KernelId;
 use valign::kernels::util::Variant;
@@ -50,6 +50,20 @@ fn shared_context_reuses_traces_across_drivers() {
         "fig9 must not trace anything fig8 already traced"
     );
     assert!(stats.traced_exactly_once(), "{stats:?}");
+}
+
+/// The sweep's first three drivers never ask for records: table3 reads
+/// its mixes off the images and the figures only replay them. Every key
+/// is traced once, and none keeps a record-form trace afterwards.
+#[test]
+fn sweep_drivers_keep_only_images() {
+    let ctx = SimContext::new(2);
+    let _ = table3::run_with(&ctx, 3, 13);
+    let _ = fig8::run_with(&ctx, 3, 13).expect("non-empty replays");
+    let _ = fig9::run_with(&ctx, 3, 13).expect("non-empty replays");
+    let stats = ctx.store().stats();
+    assert!(stats.traced_exactly_once(), "{stats:?}");
+    assert_eq!(stats.materialized_traces, 0, "{stats:?}");
 }
 
 proptest! {
