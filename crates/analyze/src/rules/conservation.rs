@@ -24,7 +24,7 @@ pub fn check(ctx: &TraceCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for cfg in PipelineConfig::table_ii() {
         let name = cfg.name;
-        let r = Simulator::simulate(cfg, None, ctx.trace);
+        let r = Simulator::simulate_reference(cfg, None, ctx.trace);
         if !r.breakdown.conserves(r.cycles) {
             out.push(ctx.diag(
                 RULE,

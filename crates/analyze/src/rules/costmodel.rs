@@ -25,7 +25,7 @@ pub fn check(ctx: &TraceCtx<'_>, image: &ReplayImage) -> Vec<Diagnostic> {
         let name = cfg.name;
         let retire_width = cfg.retire_width;
         let b = costmodel::bounds(image, &cfg);
-        let r = Simulator::simulate(cfg, None, ctx.trace);
+        let r = Simulator::simulate_reference(cfg, None, ctx.trace);
         let window = |w: Option<(u32, u32)>| match w {
             Some((first, last)) => format!(" (records {first}..{last})"),
             None => String::new(),

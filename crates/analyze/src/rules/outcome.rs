@@ -10,7 +10,8 @@
 //!   healthy trace the supervisor must be invisible: no retry, no
 //!   degradation, no quarantine, no watchdog trip;
 //! * each completed result is bit-identical to a direct unsupervised
-//!   replay of the same trace/configuration.
+//!   replay of the same trace/configuration through the record-form
+//!   reference path.
 //!
 //! A violation means the supervision layer changed the measurement it was
 //! supposed to only guard — the one failure mode a robustness layer must
@@ -68,7 +69,7 @@ pub fn check(ctx: &TraceCtx<'_>) -> Vec<Diagnostic> {
             ));
             continue;
         };
-        let direct = Simulator::simulate(job.cfg.clone(), None, ctx.trace);
+        let direct = Simulator::simulate_reference(job.cfg.clone(), None, ctx.trace);
         if *result != direct {
             out.push(ctx.diag(
                 RULE,

@@ -12,7 +12,7 @@ use valign_h264::plane::Plane;
 use valign_h264::sad::sad_block;
 use valign_h264::BlockSize;
 use valign_kernels::util::Variant;
-use valign_pipeline::{PipelineConfig, Simulator};
+use valign_pipeline::{PipelineConfig, ReplayImage, Simulator};
 
 fn textured(n: usize) -> Plane {
     let mut p = Plane::new(n, n);
@@ -48,20 +48,15 @@ fn vm_tracing(c: &mut Criterion) {
 }
 
 fn pipeline_replay(c: &mut Criterion) {
+    // The image is built once, outside the timed closures: these time the
+    // replay walk alone.
     let trace = trace_kernel(KernelId::Luma(BlockSize::B16x16), Variant::Altivec, 8, SEED);
+    let image = ReplayImage::build(&trace);
     c.bench_function("pipeline/replay_4way", |b| {
-        b.iter_batched(
-            || Simulator::new(PipelineConfig::four_way()),
-            |mut sim| sim.run(black_box(&trace)),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| Simulator::simulate_image(PipelineConfig::four_way(), None, black_box(&image)));
     });
     c.bench_function("pipeline/replay_2way_inorder", |b| {
-        b.iter_batched(
-            || Simulator::new(PipelineConfig::two_way()),
-            |mut sim| sim.run(black_box(&trace)),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| Simulator::simulate_image(PipelineConfig::two_way(), None, black_box(&image)));
     });
 }
 

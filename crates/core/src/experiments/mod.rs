@@ -25,7 +25,7 @@ pub mod table3;
 
 use std::fmt;
 use valign_isa::Trace;
-use valign_pipeline::{PipelineConfig, SimResult, Simulator};
+use valign_pipeline::{PipelineConfig, ReplayImage, SimResult, Simulator};
 
 /// A diagnostic failure of an experiment driver — returned instead of
 /// panicking when a replay cannot support the requested derivation, so CLI
@@ -49,14 +49,6 @@ pub enum ExperimentError {
         /// The replay's total cycles.
         cycles: u64,
     },
-    /// A guarded replay refused the image or tripped a watchdog; carries
-    /// the engine's structured error.
-    ReplayFailed {
-        /// What was replayed.
-        context: String,
-        /// Why the guarded replay refused it.
-        error: valign_pipeline::SimError,
-    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -78,9 +70,6 @@ impl fmt::Display for ExperimentError {
                 "{context}: attribution buckets sum to {attributed} but the \
                  replay took {cycles} cycles"
             ),
-            ExperimentError::ReplayFailed { context, error } => {
-                write!(f, "{context}: guarded replay failed: {error}")
-            }
         }
     }
 }
@@ -113,29 +102,11 @@ pub fn execs_from_env(default: usize) -> usize {
 
 /// Replays `trace` on `cfg` after a warm-up replay (steady-state caches
 /// and predictor, as a steadily decoding application would see).
+/// The trace is compiled to a [`ReplayImage`] once and both replays walk
+/// it.
 pub fn measure(cfg: PipelineConfig, trace: &Trace) -> SimResult {
-    Simulator::simulate(cfg, Some(trace), trace)
-}
-
-/// The checked counterpart of [`measure`]: the same steady-state replay,
-/// but through the guarded image path — the image is validated and the
-/// dependence walk bounds-checked — turning any refusal into a
-/// diagnostic [`ExperimentError::ReplayFailed`] naming `context` instead
-/// of a panic. On a healthy trace the result is bit-identical to
-/// [`measure`].
-pub fn measure_checked(
-    cfg: PipelineConfig,
-    trace: &Trace,
-    context: impl FnOnce() -> String,
-) -> Result<SimResult, ExperimentError> {
-    let image = valign_pipeline::ReplayImage::build(trace);
-    let guards = valign_pipeline::RunGuards::default();
-    Simulator::try_simulate_image(cfg, Some(&image), &image, &guards).map_err(|error| {
-        ExperimentError::ReplayFailed {
-            context: context(),
-            error,
-        }
-    })
+    let image = ReplayImage::build(trace);
+    Simulator::simulate_image(cfg, Some(&image), &image)
 }
 
 #[cfg(test)]
@@ -170,35 +141,7 @@ mod tests {
             ));
         }
         let warm = measure(PipelineConfig::four_way(), &t);
-        let cold = Simulator::simulate(PipelineConfig::four_way(), None, &t);
+        let cold = Simulator::simulate_reference(PipelineConfig::four_way(), None, &t);
         assert!(warm.cycles < cold.cycles);
-    }
-
-    #[test]
-    fn measure_checked_matches_measure_on_healthy_traces() {
-        let trace = crate::workload::trace_kernel(
-            crate::workload::KernelId::Sad(valign_h264::BlockSize::B4x4),
-            valign_kernels::util::Variant::Unaligned,
-            2,
-            7,
-        );
-        let plain = measure(PipelineConfig::four_way(), &trace);
-        let checked = measure_checked(PipelineConfig::four_way(), &trace, || "test".to_string())
-            .expect("healthy trace replays");
-        assert_eq!(plain, checked);
-    }
-
-    #[test]
-    fn replay_failed_display_names_the_context() {
-        let e = ExperimentError::ReplayFailed {
-            context: "fig8 luma16x16/altivec on 2-way".to_string(),
-            error: valign_pipeline::SimError::ChecksumMismatch {
-                expected: 1,
-                actual: 2,
-            },
-        };
-        let text = e.to_string();
-        assert!(text.contains("fig8 luma16x16/altivec"), "{text}");
-        assert!(text.contains("checksum"), "{text}");
     }
 }

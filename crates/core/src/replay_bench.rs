@@ -5,11 +5,11 @@
 //! The engine's work is *replaying* — every {kernel × variant} trace is
 //! generated once and then replayed across three machine configurations,
 //! warm-up plus measured pass each. This harness runs exactly that batch
-//! twice per repeat, once through [`Simulator::run_reference`] (the
-//! array-of-structs walk over `&[DynInstr]`, the pre-image engine) and
-//! once through [`Simulator::run_image`] (the packed structure-of-arrays
-//! walk), and reports simulated instructions per wall-second (MIPS) for
-//! both, per kernel and in total.
+//! twice per repeat, once through [`Simulator::simulate_reference`] (the
+//! replay walk over the array-of-structs `&[DynInstr]`, the pre-image
+//! record form) and once through [`Simulator::simulate_image`] (the same
+//! walk over the packed structure-of-arrays image), and reports simulated
+//! instructions per wall-second (MIPS) for both, per kernel and in total.
 //!
 //! Two invariants are checked on every run and recorded in the artifact:
 //!
@@ -100,9 +100,9 @@ pub struct ReplayBench {
     /// Simulated instructions per pass (each job replays its trace twice:
     /// warm-up + measured).
     pub instructions: u64,
-    /// The record-form reference path ([`Simulator::run_reference`]).
+    /// The record-form reference path ([`Simulator::simulate_reference`]).
     pub reference: PathMeasure,
-    /// The packed-image path ([`Simulator::run_image`]).
+    /// The packed-image path ([`Simulator::simulate_image`]).
     pub image: PathMeasure,
     /// Whether every job's [`SimResult`] was `==` across the two paths.
     pub bit_identical: bool,
@@ -328,9 +328,8 @@ pub fn run(execs: usize, seed: u64, repeats: usize, store_dir: Option<&Path>) ->
     let mut attributed_cycles_native = 0u64;
     let mut kernel_native_realign = vec![0u64; KernelId::ALL.len()];
     for job in &jobs {
-        let mut sim = Simulator::new(job.cfg.clone().with_realign(realign_native));
-        let _ = sim.run_image(&job.image);
-        let r = sim.run_image(&job.image);
+        let cfg = job.cfg.clone().with_realign(realign_native);
+        let r = Simulator::simulate_image(cfg, Some(&job.image), &job.image);
         attribution_native.accumulate(&r.breakdown);
         attributed_cycles_native += r.cycles;
         if job.key.variant == Variant::Unaligned {
@@ -456,9 +455,7 @@ fn measure_store(
     // freshly built ones on every job of the batch.
     let bit_identical = jobs.iter().zip(img_results).all(|(job, expected)| {
         let image = warm_store.prepared(job.key).image;
-        let mut sim = Simulator::new(job.cfg.clone());
-        let _ = sim.run_image(&image);
-        sim.run_image(&image) == *expected
+        Simulator::simulate_image(job.cfg.clone(), Some(&image), &image) == *expected
     });
 
     let total_bytes = warm_store
@@ -568,22 +565,19 @@ fn timed_passes(
 }
 
 /// One full batch pass of one path: per-kernel walls plus every job's
-/// result. The per-job timed span covers warm-up + measured replay only.
+/// result. The per-job timed span covers the fresh machine, warm-up and
+/// measured replay.
 fn one_pass(jobs: &[BenchJob], path: BenchPath) -> (Vec<Duration>, Vec<SimResult>) {
     let mut walls = vec![Duration::ZERO; KernelId::ALL.len()];
     let mut results = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let mut sim = Simulator::new(job.cfg.clone());
+        let cfg = job.cfg.clone();
         let started = Instant::now();
         let result = match path {
             BenchPath::Reference => {
-                let _ = sim.run_reference(&job.trace);
-                sim.run_reference(&job.trace)
+                Simulator::simulate_reference(cfg, Some(&job.trace), &job.trace)
             }
-            BenchPath::Image => {
-                let _ = sim.run_image(&job.image);
-                sim.run_image(&job.image)
-            }
+            BenchPath::Image => Simulator::simulate_image(cfg, Some(&job.image), &job.image),
         };
         walls[job.kernel_idx] += started.elapsed();
         results.push(result);

@@ -31,7 +31,7 @@
 //!
 //! * **Degradable** errors ([`SimError::degradable`]) indict the *image*,
 //!   not the workload — so the attempt falls back to the record-form
-//!   reference walker ([`Simulator::run_reference`]), which shares no
+//!   reference walker ([`Simulator::simulate_reference`]), which shares no
 //!   bytes with the image, and the outcome is flagged
 //!   [`JobOutcome::Degraded`]. Degraded results are bit-identical to a
 //!   reference run because they *are* a reference run.
@@ -559,12 +559,12 @@ impl SupervisedRunner {
     /// trace through the reference walker, which shares no bytes with the
     /// (distrusted) image, mirroring the job's warm-up discipline.
     fn degrade(&self, job: &SimJob, trace: &Trace, reason: SimError) -> AttemptOutcome {
-        let mut sim = Simulator::new(job.cfg.clone());
-        if job.warm {
-            let _ = sim.run_reference(trace);
-        }
         AttemptOutcome::Degraded {
-            result: sim.run_reference(trace),
+            result: Simulator::simulate_reference(
+                job.cfg.clone(),
+                job.warm.then_some(trace),
+                trace,
+            ),
             reason,
         }
     }
@@ -688,11 +688,9 @@ mod tests {
                     "{spec} must land on its designed rung, got {reason}"
                 );
                 let trace = job.prepared(&store).trace();
-                let mut sim = Simulator::new(job.cfg.clone());
-                let _ = sim.run_reference(&trace);
                 assert_eq!(
                     result,
-                    &sim.run_reference(&trace),
+                    &Simulator::simulate_reference(job.cfg.clone(), Some(&trace), &trace),
                     "{spec}: degraded result must be bit-identical to the reference walker"
                 );
             }

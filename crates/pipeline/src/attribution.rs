@@ -25,10 +25,10 @@
 //! `attribution-conservation` analyze rule and the engine's own debug
 //! assertion check after every simulation.
 //!
-//! Both [`crate::Simulator::run_reference`] and
-//! [`crate::Simulator::run_image`] build the [`Timeline`] from the same
-//! stage calls, so attribution is bit-identical between the two replay
-//! paths (enforced by the replay-image equivalence suite).
+//! The engine's one replay walk builds the [`Timeline`] for both record
+//! sources, so attribution is bit-identical between the packed image and
+//! the record-form reference path (enforced by the replay-image
+//! equivalence suite).
 
 use std::fmt;
 

@@ -314,7 +314,7 @@ mod tests {
         let img = ReplayImage::build(&trace);
         for cfg in PipelineConfig::table_ii() {
             let b = bounds(&img, &cfg);
-            let r = Simulator::simulate(cfg, None, &trace);
+            let r = Simulator::simulate_image(cfg, None, &img);
             let realign = r.breakdown.get(crate::Bucket::Realign);
             let raw_dep = r.breakdown.get(crate::Bucket::RawDependence);
             let issue = r.breakdown.get(crate::Bucket::IssueWidth);

@@ -1,6 +1,6 @@
 //! The trace-driven cycle-accurate scheduling engine.
 //!
-//! The engine replays a dynamic instruction [`Trace`] through a
+//! The engine replays a dynamic instruction stream through a
 //! Turandot-style superscalar model in a single forward pass, staged into
 //! three modules:
 //!
@@ -18,32 +18,39 @@
 //!
 //! This file only orchestrates the per-instruction walk across the three
 //! stages; the cycle math lives with the stage that owns the resource.
+//! There is one walk, over two record sources: the packed [`ReplayImage`]
+//! (the hot path, [`Simulator::simulate_image`]) and the record-form
+//! [`Trace`] it was compiled from (the reference path,
+//! [`Simulator::simulate_reference`] — the oracle for
+//! [`ReplayImage::build`], the target a distrusted image degrades to, and
+//! the replay bench's baseline). The sources differ only in how a record
+//! is decoded and in how a load finds the stores it depends on.
 //!
 //! This is the same modelling level as the paper's trace-driven
 //! methodology: timing is derived entirely from the dynamic stream, while
 //! functional values were already resolved by the emulator.
 //!
-//! A [`Simulator`] owns all of its microarchitectural state (caches and
-//! predictor) and replays through `&Trace`, so it is `Send + Sync` and a
-//! single shared trace can be replayed concurrently by many simulators —
-//! the property the batch executor in `valign-core` relies on.
+//! Each entry point replays on a fresh machine (cold caches and
+//! predictor), optionally warmed by a first replay, and only reads the
+//! image or trace — so one shared image can be replayed concurrently by
+//! many jobs, the property the batch executor in `valign-core` relies on.
 
 use crate::attribution::{Bucket, Timeline};
 use crate::backend::{Backend, Ready};
 use crate::config::PipelineConfig;
 use crate::frontend::Frontend;
-use crate::image::{dst_file_of, flags, ReplayImage, NO_DEF};
+use crate::image::{dst_file_of, flags, mem_kind_of, src_defs_of, DstFile, ReplayImage, NO_DEF};
 use crate::latency::LatencyTable;
-use crate::lsu::{Lsu, MemExec};
+use crate::lsu::{Lsu, MemAccess, MemExec};
 use crate::predictor::BranchPredictor;
 use crate::result::{SimError, SimResult};
 use valign_cache::{CacheConfig, Hierarchy, SetAssocCache};
-use valign_isa::{DynInstr, MemKind, Trace, Unit};
+use valign_isa::{DynInstr, MemKind, Opcode, StaticId, Trace};
 
 /// Integrity guards applied by the checked replay path
-/// ([`Simulator::try_run_image`]). Both guards are expressed in simulated
-/// cycles / record indices — never wall-clock — so a guarded replay is as
-/// deterministic as an unguarded one.
+/// ([`Simulator::try_simulate_image`]). Both guards are expressed in
+/// simulated cycles / record indices — never wall-clock — so a guarded
+/// replay is as deterministic as an unguarded one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunGuards {
     /// Watchdog deadline: abort with [`SimError::BudgetExceeded`] as soon
@@ -68,9 +75,7 @@ pub struct StallInjection {
 }
 
 /// Assembles the attribution [`Timeline`] of one instruction from the
-/// milestones both replay paths compute through the same stage calls —
-/// the single construction point that keeps attribution bit-identical
-/// between [`Simulator::run_image`] and [`Simulator::run_reference`].
+/// milestones the walk computed through the stage calls.
 fn timeline_of(
     redirect: u64,
     dispatch: u64,
@@ -118,8 +123,172 @@ fn timeline_of(
     }
 }
 
-/// The cycle-accurate simulator. Create one per run (it owns the cache and
-/// predictor state) and call [`Simulator::run`].
+/// The per-record fields every instruction needs, decoded from either
+/// record source. The memory access and the branch outcome are decoded
+/// only where the walk uses them ([`Records::mem_access`],
+/// [`Records::branch_outcome`]), which keeps them out of registers
+/// through the front half of the pipeline.
+struct Record {
+    sid: StaticId,
+    dst: DstFile,
+    /// Producer index per source slot, [`NO_DEF`] when absent/external.
+    defs: [u32; 3],
+    /// Dense execution-unit index.
+    unit: usize,
+    op: Opcode,
+    /// Load or store, for a memory record.
+    mem: Option<MemKind>,
+    is_branch: bool,
+}
+
+/// A record source for [`Simulator::walk`]. The walk calls `record` for
+/// every index exactly once, in increasing order, then `mem_access` once
+/// if the record accesses memory and `branch_outcome` once if it is a
+/// branch — so a source may keep running cursors.
+///
+/// `record` is `#[inline(always)]` in both sources: left to the inliner
+/// it can be outlined, and returning the `Record` through memory cost
+/// the image walk several percent.
+trait Records {
+    /// Number of records.
+    fn len(&self) -> usize;
+    /// Record `idx`.
+    fn record(&mut self, idx: usize) -> Record;
+    /// The memory access of record `idx`.
+    fn mem_access(&mut self, idx: usize) -> MemAccess<'_>;
+    /// `(taken, unconditional)` of branch record `idx`.
+    fn branch_outcome(&mut self, idx: usize) -> (bool, bool);
+}
+
+/// The record-form source: the AoS [`DynInstr`] array, decoded per
+/// record. Loads find their store dependences by scanning the LSU's
+/// store ring.
+impl Records for &[DynInstr] {
+    fn len(&self) -> usize {
+        <[DynInstr]>::len(self)
+    }
+
+    #[inline(always)]
+    fn record(&mut self, idx: usize) -> Record {
+        let instr = &self[idx];
+        Record {
+            sid: instr.sid,
+            dst: dst_file_of(instr),
+            defs: src_defs_of(instr),
+            unit: instr.op.unit().index(),
+            op: instr.op,
+            mem: instr.mem.map(|m| m.kind),
+            is_branch: instr.branch.is_some(),
+        }
+    }
+
+    #[inline]
+    fn mem_access(&mut self, idx: usize) -> MemAccess<'_> {
+        let instr = &self[idx];
+        let m = instr.mem.expect("asked only for memory records");
+        MemAccess {
+            addr: m.addr,
+            bytes: m.bytes,
+            kind: m.kind,
+            unaligned: instr.is_unaligned_vector_access(),
+            deps: None,
+        }
+    }
+
+    #[inline]
+    fn branch_outcome(&mut self, idx: usize) -> (bool, bool) {
+        let b = self[idx].branch.expect("asked only for branch records");
+        (b.taken, b.unconditional)
+    }
+}
+
+/// The packed source: a [`ReplayImage`]'s columns plus running cursors
+/// into the compact memory and branch side arrays the forward walk
+/// consumes in record order. Loads carry the image's pre-resolved store
+/// dependences.
+struct ImageRecords<'a> {
+    image: &'a ReplayImage,
+    flags: &'a [u8],
+    sids: &'a [StaticId],
+    src_defs: &'a [[u32; 3]],
+    units: &'a [u8],
+    ops: &'a [Opcode],
+    mem_addrs: &'a [u64],
+    mem_bytes: &'a [u8],
+    mem_cursor: usize,
+    branch_cursor: usize,
+}
+
+impl<'a> ImageRecords<'a> {
+    fn new(image: &'a ReplayImage) -> Self {
+        ImageRecords {
+            image,
+            flags: &image.flags()[..image.len()],
+            sids: image.sids(),
+            src_defs: image.src_defs(),
+            units: image.units(),
+            ops: image.ops(),
+            mem_addrs: image.mem_addrs(),
+            mem_bytes: image.mem_bytes(),
+            mem_cursor: 0,
+            branch_cursor: 0,
+        }
+    }
+}
+
+impl Records for ImageRecords<'_> {
+    fn len(&self) -> usize {
+        self.flags.len()
+    }
+
+    #[inline(always)]
+    fn record(&mut self, idx: usize) -> Record {
+        // Pinning each column to the flag column's length lets the
+        // compiler prove `idx` in range from the walk's `0..len()` bound,
+        // which takes the per-record bounds checks out of the hot loop.
+        let n = self.flags.len();
+        let f = self.flags[idx];
+        Record {
+            sid: self.sids[..n][idx],
+            dst: DstFile::from_flags(f),
+            defs: self.src_defs[..n][idx],
+            unit: usize::from(self.units[..n][idx]),
+            op: self.ops[..n][idx],
+            mem: (f & flags::MEM != 0).then_some(mem_kind_of(f)),
+            is_branch: f & flags::BRANCH != 0,
+        }
+    }
+
+    #[inline]
+    fn mem_access(&mut self, idx: usize) -> MemAccess<'_> {
+        let f = self.flags[idx];
+        let c = self.mem_cursor;
+        self.mem_cursor += 1;
+        MemAccess {
+            addr: self.mem_addrs[c],
+            bytes: self.mem_bytes[c],
+            kind: mem_kind_of(f),
+            unaligned: f & flags::UNALIGNED != 0,
+            deps: Some(self.image.mem_deps_at(c)),
+        }
+    }
+
+    #[inline]
+    fn branch_outcome(&mut self, _idx: usize) -> (bool, bool) {
+        let b = self.branch_cursor;
+        self.branch_cursor += 1;
+        (
+            self.image.branch_taken_bit(b),
+            self.image.branch_uncond_bit(b),
+        )
+    }
+}
+
+/// The cycle-accurate simulator: the machine state (caches and
+/// predictor) one job's replays run on. Jobs go through the three entry
+/// points — [`Simulator::simulate_image`], [`Simulator::try_simulate_image`]
+/// and [`Simulator::simulate_reference`] — each of which builds a fresh
+/// machine.
 #[derive(Debug)]
 pub struct Simulator {
     cfg: PipelineConfig,
@@ -131,7 +300,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Builds a simulator with cold caches and predictor.
-    pub fn new(cfg: PipelineConfig) -> Self {
+    fn new(cfg: PipelineConfig) -> Self {
         let mem = Hierarchy::new(cfg.memory);
         // Table II: 32 KB direct-mapped I-L1 with 128-byte lines. Kernels
         // are loop-resident, so after warm-up this is all hits; cold code
@@ -147,73 +316,108 @@ impl Simulator {
         }
     }
 
-    /// The explicit latency table the engine resolves execute latencies
-    /// from (see [`crate::latency`]).
-    pub fn latency_table(&self) -> &LatencyTable {
-        &self.lat
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    /// Replays `trace` and returns the timing result.
-    ///
-    /// Compiles the trace into a throw-away [`ReplayImage`] and replays
-    /// that; callers replaying the same trace more than once (warm-up +
-    /// measured, many configurations) should build the image once and use
-    /// [`Simulator::run_image`] directly — `valign-core`'s trace store
-    /// caches images for exactly this purpose.
-    ///
-    /// Microarchitectural state (caches, predictor) persists across calls,
-    /// so a warm-up run followed by a measured run models steady state.
-    /// Per-replay stage state (queues, rings, packers) is rebuilt here.
-    pub fn run(&mut self, trace: &Trace) -> SimResult {
-        self.run_image(&ReplayImage::build(trace))
-    }
-
-    /// Replays a packed [`ReplayImage`] and returns the timing result —
-    /// the engine's hot path. Bit-identical to
-    /// [`Simulator::run_reference`] on the image's source trace.
+    /// Simulates a prebuilt [`ReplayImage`] on a fresh machine with `cfg`,
+    /// optionally preceded by a warm-up replay of `warmup` — the engine's
+    /// hot path. Microarchitectural state (caches, predictor) carries from
+    /// the warm-up into the measured replay, which models steady state.
+    /// Bit-identical to [`Simulator::simulate_reference`] on the images'
+    /// source traces.
     ///
     /// # Panics
     ///
     /// Panics on a [`SimError`] (malformed image or missing latency
-    /// entry); use [`Simulator::try_run_image`] where a corrupt image is
-    /// reachable and the failure must be handled instead.
-    pub fn run_image(&mut self, image: &ReplayImage) -> SimResult {
-        self.replay_image::<false>(image, &RunGuards::default())
-            .unwrap_or_else(|e| panic!("replay failed: {e}"))
+    /// entry); use [`Simulator::try_simulate_image`] where a corrupt image
+    /// is reachable and the failure must be handled instead.
+    pub fn simulate_image(
+        cfg: PipelineConfig,
+        warmup: Option<&ReplayImage>,
+        image: &ReplayImage,
+    ) -> SimResult {
+        Self::replay::<_, false>(
+            cfg,
+            warmup.map(ImageRecords::new),
+            ImageRecords::new(image),
+            &RunGuards::default(),
+        )
+        .unwrap_or_else(|e| panic!("replay failed: {e}"))
     }
 
-    /// The checked counterpart of [`Simulator::run_image`]: validates the
-    /// image up front, bounds-checks the dependence walk, applies the
-    /// [`RunGuards`] (cycle-budget watchdog, injected stall), and returns
-    /// a structured [`SimError`] instead of panicking. On a well-formed
+    /// The checked counterpart of [`Simulator::simulate_image`]: validates
+    /// both images up front, bounds-checks the dependence walk, applies
+    /// the [`RunGuards`] (cycle-budget watchdog, injected stall) to the
+    /// warm-up and the measured replay alike, and returns the first
+    /// structured [`SimError`] instead of panicking. On a well-formed
     /// image with default guards the result is bit-identical to
-    /// [`Simulator::run_image`].
-    pub fn try_run_image(
-        &mut self,
+    /// [`Simulator::simulate_image`].
+    pub fn try_simulate_image(
+        cfg: PipelineConfig,
+        warmup: Option<&ReplayImage>,
         image: &ReplayImage,
         guards: &RunGuards,
     ) -> Result<SimResult, SimError> {
-        self.replay_image::<true>(image, guards)
+        // Before any column is pinned: a truncated image must be refused,
+        // not sliced.
+        for img in warmup.into_iter().chain([image]) {
+            img.validate()?;
+        }
+        Self::replay::<_, true>(
+            cfg,
+            warmup.map(ImageRecords::new),
+            ImageRecords::new(image),
+            guards,
+        )
     }
 
-    /// The single replay walk behind both image paths. `GUARDED` is a
-    /// const so the unguarded hot path compiles with every integrity
-    /// check and guard branch removed — monomorphisation keeps the
-    /// supervision layer free for the measured sweeps.
-    fn replay_image<const GUARDED: bool>(
-        &mut self,
-        image: &ReplayImage,
+    /// Simulates `trace` record by record, straight off the AoS
+    /// [`DynInstr`] array, with the same warm-up discipline as
+    /// [`Simulator::simulate_image`] — the reference path the packed
+    /// image is equivalence-tested and benchmarked against, and the one a
+    /// distrusted image degrades to (it shares no bytes with the image).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a missing latency entry ([`SimError::MissingLatency`]).
+    pub fn simulate_reference(
+        cfg: PipelineConfig,
+        warmup: Option<&Trace>,
+        trace: &Trace,
+    ) -> SimResult {
+        Self::replay::<_, false>(
+            cfg,
+            warmup.map(Trace::instrs),
+            trace.instrs(),
+            &RunGuards::default(),
+        )
+        .unwrap_or_else(|e| panic!("reference replay failed: {e}"))
+    }
+
+    /// Warm-then-measure on a fresh machine: the shape of all three entry
+    /// points.
+    fn replay<R: Records, const GUARDED: bool>(
+        cfg: PipelineConfig,
+        warmup: Option<R>,
+        records: R,
         guards: &RunGuards,
     ) -> Result<SimResult, SimError> {
-        if GUARDED {
-            image.validate()?;
+        let mut sim = Simulator::new(cfg);
+        if let Some(w) = warmup {
+            sim.walk::<_, GUARDED>(w, guards)?;
         }
-        let n = image.len();
+        sim.walk::<_, GUARDED>(records, guards)
+    }
+
+    /// The replay walk: one forward pass over `records` through the three
+    /// stages. Microarchitectural state (caches, predictor) persists
+    /// across walks; per-replay stage state (queues, rings, packers) is
+    /// rebuilt here. `GUARDED` is a const so the unguarded hot path
+    /// compiles with the injected stall, the producer check, the
+    /// dependence-window check and the watchdog removed.
+    fn walk<R: Records, const GUARDED: bool>(
+        &mut self,
+        mut records: R,
+        guards: &RunGuards,
+    ) -> Result<SimResult, SimError> {
+        let n = records.len();
         let mut result = SimResult {
             instructions: n as u64,
             ..Default::default()
@@ -226,31 +430,12 @@ impl Simulator {
         let mut backend = Backend::new(&self.cfg);
         let mut lsu = Lsu::new(&self.cfg, &mut self.mem);
 
-        // Pin every per-instruction column to exactly `n` entries so the
-        // `idx in 0..n` walk indexes with provably in-range subscripts and
-        // the bounds checks vanish from the hot loop.
-        let ops = &image.ops()[..n];
-        let units = &image.units()[..n];
-        let flag_bytes = &image.flags()[..n];
-        let sids = &image.sids()[..n];
-        let src_defs = &image.src_defs()[..n];
-        let mem_addrs = image.mem_addrs();
-        let mem_bytes = image.mem_bytes();
-        // The forward walk consumes the compact memory/branch side arrays
-        // in record order.
-        let mut mem_cursor = 0usize;
-        let mut branch_cursor = 0usize;
-
         for idx in 0..n {
-            let f = flag_bytes[idx];
+            let rec = records.record(idx);
 
             // ---- fetch ----
             let redirect = frontend.redirect();
-            let fetch_cycle = frontend.fetch(
-                sids[idx].pc(),
-                image.dst_file(idx),
-                backend.window_floor(idx),
-            );
+            let fetch_cycle = frontend.fetch(rec.sid.pc(), rec.dst, backend.window_floor(idx));
 
             // ---- dispatch / issue readiness ----
             let mut dispatch = frontend.dispatch_at(fetch_cycle);
@@ -263,7 +448,7 @@ impl Simulator {
                 // A producer at or after its consumer is impossible in a
                 // recorded trace; catch it before the scoreboard's
                 // window-distance arithmetic would misread the rings.
-                for &def in &src_defs[idx] {
+                for &def in &rec.defs {
                     if def != NO_DEF && def as usize >= idx {
                         return Err(SimError::DanglingProducer {
                             index: idx,
@@ -272,66 +457,39 @@ impl Simulator {
                     }
                 }
             }
-            let is_branch = f & flags::BRANCH != 0;
-            let ready = backend.ready_at(idx, is_branch, &src_defs[idx], dispatch);
+            let is_branch = rec.is_branch;
+            let ready = backend.ready_at(idx, is_branch, &rec.defs, dispatch);
 
             // ---- unit + ports ----
-            let unit_at = backend.acquire_unit(usize::from(units[idx]), ready.after_order);
-            let touches_memory = f & flags::MEM != 0;
-            let kind = if f & flags::STORE != 0 {
-                MemKind::Store
-            } else {
-                MemKind::Load
-            };
-            let issue_cycle = if touches_memory {
-                lsu.acquire_port(kind, unit_at)
-            } else {
-                unit_at
+            let unit_at = backend.acquire_unit(rec.unit, ready.after_order);
+            let issue_cycle = match rec.mem {
+                Some(kind) => lsu.acquire_port(kind, unit_at),
+                None => unit_at,
             };
             backend.note_issue(is_branch, issue_cycle);
 
             // ---- execute ----
-            let (complete, mem_exec) = if touches_memory {
-                let exec = if GUARDED {
-                    lsu.execute_prepared_checked(
-                        mem_addrs[mem_cursor],
-                        mem_bytes[mem_cursor],
-                        kind,
-                        f & flags::UNALIGNED != 0,
-                        image.mem_deps_at(mem_cursor),
-                        idx,
-                        issue_cycle,
-                        &mut result,
-                    )?
-                } else {
-                    lsu.execute_prepared(
-                        mem_addrs[mem_cursor],
-                        mem_bytes[mem_cursor],
-                        kind,
-                        f & flags::UNALIGNED != 0,
-                        image.mem_deps_at(mem_cursor),
-                        issue_cycle,
-                        &mut result,
-                    )
-                };
-                mem_cursor += 1;
-                (exec.complete, Some(exec))
-            } else {
-                let Some(lat) = self.lat.fixed(ops[idx]) else {
-                    return Err(SimError::MissingLatency {
-                        op: ops[idx],
-                        index: idx,
-                    });
-                };
-                (issue_cycle + u64::from(lat), None)
+            let (complete, mem_exec) = match rec.mem {
+                Some(_) => {
+                    let access = records.mem_access(idx);
+                    let exec = lsu.execute::<GUARDED>(&access, idx, issue_cycle, &mut result)?;
+                    (exec.complete, Some(exec))
+                }
+                None => {
+                    let Some(lat) = self.lat.fixed(rec.op) else {
+                        return Err(SimError::MissingLatency {
+                            op: rec.op,
+                            index: idx,
+                        });
+                    };
+                    (issue_cycle + u64::from(lat), None)
+                }
             };
 
             // ---- branch resolution ----
             if is_branch {
-                let taken = image.branch_taken_bit(branch_cursor);
-                let unconditional = image.branch_uncond_bit(branch_cursor);
-                branch_cursor += 1;
-                let mispredicted = self.pred.access(sids[idx], taken, unconditional);
+                let (taken, unconditional) = records.branch_outcome(idx);
+                let mispredicted = self.pred.access(rec.sid, taken, unconditional);
                 frontend.apply_branch(mispredicted, taken, complete);
             }
 
@@ -350,7 +508,7 @@ impl Simulator {
                 );
                 result.breakdown.charge(prev_retire, retire_cycle, &t);
             }
-            frontend.release_dst(image.dst_file(idx), retire_cycle);
+            frontend.release_dst(rec.dst, retire_cycle);
 
             // ---- watchdog ----
             if GUARDED {
@@ -378,182 +536,6 @@ impl Simulator {
         );
         Ok(result)
     }
-
-    /// Replays `trace` record by record, straight off the AoS
-    /// [`DynInstr`] array — the pre-image walker, retained as the
-    /// reference implementation the packed path is equivalence-tested
-    /// (and benchmarked) against. Semantically identical to
-    /// [`Simulator::run`]; only the memory layout it walks differs.
-    pub fn run_reference(&mut self, trace: &Trace) -> SimResult {
-        let n = trace.len();
-        let mut result = SimResult {
-            instructions: n as u64,
-            ..Default::default()
-        };
-        if n == 0 {
-            return result;
-        }
-
-        let mut frontend = Frontend::new(&self.cfg, &mut self.icache);
-        let mut backend = Backend::new(&self.cfg);
-        let mut lsu = Lsu::new(&self.cfg, &mut self.mem);
-
-        for (idx, instr) in trace.iter().enumerate() {
-            // ---- fetch ----
-            let redirect = frontend.redirect();
-            let fetch_cycle = frontend.fetch(
-                instr.sid.pc(),
-                dst_file_of(instr),
-                backend.window_floor(idx),
-            );
-
-            // ---- dispatch / issue readiness ----
-            let dispatch = frontend.dispatch_at(fetch_cycle);
-            let is_branch = instr.op.is_branch();
-            let mut defs = [NO_DEF; 3];
-            for (slot, src) in defs.iter_mut().zip(instr.srcs.iter()) {
-                if let Some(d) = src.and_then(|s| s.def) {
-                    *slot = d;
-                }
-            }
-            let ready = backend.ready_at(idx, is_branch, &defs, dispatch);
-
-            // ---- unit + ports ----
-            let unit_at = backend.acquire_unit(instr.op.unit().index(), ready.after_order);
-            let issue_cycle = if instr.op.touches_memory() {
-                let kind = instr.mem.expect("memory op has a MemRef").kind;
-                lsu.acquire_port(kind, unit_at)
-            } else {
-                unit_at
-            };
-            backend.note_issue(is_branch, issue_cycle);
-
-            // ---- execute ----
-            let (complete, mem_exec) = if let Some(mem_ref) = instr.mem {
-                let exec = lsu.execute(
-                    mem_ref.addr,
-                    mem_ref.bytes,
-                    mem_ref.kind,
-                    instr.is_unaligned_vector_access(),
-                    issue_cycle,
-                    &mut result,
-                );
-                (exec.complete, Some(exec))
-            } else {
-                let lat = self
-                    .lat
-                    .fixed(instr.op)
-                    .unwrap_or_else(|| panic!("no fixed latency entry for {}", instr.op));
-                (issue_cycle + u64::from(lat), None)
-            };
-
-            // ---- branch resolution ----
-            if let Some(br) = instr.branch {
-                let mispredicted = self.pred.access(instr.sid, br.taken, br.unconditional);
-                frontend.apply_branch(mispredicted, br.taken, complete);
-            }
-
-            // ---- retire + cycle attribution ----
-            let prev_retire = backend.last_retire();
-            let retire_cycle = backend.retire(idx, complete);
-            if retire_cycle > prev_retire {
-                let t = timeline_of(
-                    redirect,
-                    dispatch,
-                    ready,
-                    unit_at,
-                    issue_cycle,
-                    mem_exec,
-                    complete,
-                );
-                result.breakdown.charge(prev_retire, retire_cycle, &t);
-            }
-            frontend.release_dst(dst_file_of(instr), retire_cycle);
-        }
-
-        result.cycles = backend.last_retire();
-        result.predictor = self.pred.stats();
-        result.l1 = self.mem.l1_stats();
-        result.l2 = self.mem.l2_stats();
-        debug_assert!(
-            result.breakdown.conserves(result.cycles),
-            "attribution lost cycles: {} attributed vs {} total",
-            result.breakdown.total(),
-            result.cycles
-        );
-        result
-    }
-
-    /// Convenience: simulate `trace` on a fresh machine with `cfg`,
-    /// optionally preceded by a warm-up replay of `warmup`.
-    ///
-    /// Each distinct trace is compiled to a [`ReplayImage`] once; when
-    /// `warmup` is the same trace (the common steady-state pattern) both
-    /// replays share one image.
-    pub fn simulate(cfg: PipelineConfig, warmup: Option<&Trace>, trace: &Trace) -> SimResult {
-        let image = ReplayImage::build(trace);
-        let warm_image = warmup.map(|w| {
-            if std::ptr::eq(w, trace) {
-                None
-            } else {
-                Some(ReplayImage::build(w))
-            }
-        });
-        let mut sim = Simulator::new(cfg);
-        if let Some(w) = warm_image {
-            let _ = sim.run_image(w.as_ref().unwrap_or(&image));
-        }
-        sim.run_image(&image)
-    }
-
-    /// Convenience: simulate a prebuilt [`ReplayImage`] on a fresh machine
-    /// with `cfg`, optionally preceded by a warm-up replay — the
-    /// image-cached counterpart of [`Simulator::simulate`].
-    pub fn simulate_image(
-        cfg: PipelineConfig,
-        warmup: Option<&ReplayImage>,
-        image: &ReplayImage,
-    ) -> SimResult {
-        let mut sim = Simulator::new(cfg);
-        if let Some(w) = warmup {
-            let _ = sim.run_image(w);
-        }
-        sim.run_image(image)
-    }
-
-    /// The checked counterpart of [`Simulator::simulate_image`]: both the
-    /// warm-up and the measured replay run through
-    /// [`Simulator::try_run_image`] under the same `guards`, and the
-    /// first [`SimError`] aborts the job. On a well-formed image with
-    /// default guards the result is bit-identical to
-    /// [`Simulator::simulate_image`].
-    pub fn try_simulate_image(
-        cfg: PipelineConfig,
-        warmup: Option<&ReplayImage>,
-        image: &ReplayImage,
-        guards: &RunGuards,
-    ) -> Result<SimResult, SimError> {
-        let mut sim = Simulator::new(cfg);
-        if let Some(w) = warmup {
-            let _ = sim.try_run_image(w, guards)?;
-        }
-        sim.try_run_image(image, guards)
-    }
-}
-
-/// Per-unit static occupancy summary of a trace (how many ops target each
-/// unit) — useful for quick bottleneck analysis in reports.
-pub fn unit_histogram(trace: &Trace) -> [u64; Unit::COUNT] {
-    let mut h = [0u64; Unit::COUNT];
-    for i in trace.iter() {
-        h[i.op.unit().index()] += 1;
-    }
-    h
-}
-
-/// Returns the dynamic instructions of `trace` that access memory.
-pub fn memory_ops(trace: &Trace) -> impl Iterator<Item = &DynInstr> {
-    trace.iter().filter(|i| i.op.touches_memory())
 }
 
 #[cfg(test)]
@@ -563,8 +545,9 @@ mod tests {
     use valign_cache::RealignConfig;
     use valign_vm::Vm;
 
-    fn run(cfg: PipelineConfig, trace: &Trace) -> SimResult {
-        Simulator::simulate(cfg, Some(trace), trace)
+    fn warm_replay(cfg: PipelineConfig, trace: &Trace) -> SimResult {
+        let image = ReplayImage::build(trace);
+        Simulator::simulate_image(cfg, Some(&image), &image)
     }
 
     #[test]
@@ -575,8 +558,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_zero_cycles() {
-        let mut sim = Simulator::new(PipelineConfig::four_way());
-        let r = sim.run(&Trace::new());
+        let r = Simulator::simulate_reference(PipelineConfig::four_way(), None, &Trace::new());
         assert_eq!(r.cycles, 0);
         assert_eq!(r.instructions, 0);
     }
@@ -588,7 +570,7 @@ mod tests {
             let _ = vm.li(1);
         }
         let trace = vm.take_trace();
-        let r = run(PipelineConfig::four_way(), &trace);
+        let r = warm_replay(PipelineConfig::four_way(), &trace);
         // FX has 3 instances in the 4-way config, so IPC should approach 3.
         assert!(r.ipc() > 2.0, "ipc = {}", r.ipc());
         assert!(r.ipc() <= 3.01, "ipc = {}", r.ipc());
@@ -602,7 +584,7 @@ mod tests {
             x = vm.addi(x, 1);
         }
         let trace = vm.take_trace();
-        let r = run(PipelineConfig::eight_way(), &trace);
+        let r = warm_replay(PipelineConfig::eight_way(), &trace);
         // One-cycle latency chain: about one instruction per cycle, no
         // matter the width.
         assert!(r.ipc() < 1.1, "ipc = {}", r.ipc());
@@ -621,8 +603,8 @@ mod tests {
             let _ = vm.add(c, d);
         }
         let trace = vm.take_trace();
-        let two = run(PipelineConfig::two_way(), &trace);
-        let eight = run(PipelineConfig::eight_way(), &trace);
+        let two = warm_replay(PipelineConfig::two_way(), &trace);
+        let eight = warm_replay(PipelineConfig::eight_way(), &trace);
         assert!(
             eight.cycles < two.cycles,
             "8-way {} vs 2-way {}",
@@ -647,8 +629,8 @@ mod tests {
         let trace = vm.take_trace();
         let mut inorder = PipelineConfig::four_way();
         inorder.policy = IssuePolicy::InOrder;
-        let io = run(inorder, &trace);
-        let ooo = run(PipelineConfig::four_way(), &trace);
+        let io = warm_replay(inorder, &trace);
+        let ooo = warm_replay(PipelineConfig::four_way(), &trace);
         assert!(
             ooo.cycles <= io.cycles,
             "OoO {} should not exceed in-order {}",
@@ -675,11 +657,11 @@ mod tests {
             idx = vm.addi(idx, 0);
         }
         let trace = vm.take_trace();
-        let base = run(
+        let base = warm_replay(
             PipelineConfig::four_way().with_realign(RealignConfig::equal_latency()),
             &trace,
         );
-        let plus6 = run(
+        let plus6 = warm_replay(
             PipelineConfig::four_way().with_realign(RealignConfig::extra(6)),
             &trace,
         );
@@ -697,7 +679,7 @@ mod tests {
         let i0 = vm.li(0);
         let _ = vm.lvxu(i0, p);
         let trace = vm.take_trace();
-        let r = run(
+        let r = warm_replay(
             PipelineConfig::four_way().with_realign(RealignConfig::extra(6)),
             &trace,
         );
@@ -719,8 +701,8 @@ mod tests {
         };
         let predictable = make(2000, |i| i % 2000 != 1999); // always taken
         let chaotic = make(2000, |i| i.wrapping_mul(2654435761).rotate_left(7) & 4 == 0);
-        let p = run(PipelineConfig::four_way(), &predictable);
-        let c = run(PipelineConfig::four_way(), &chaotic);
+        let p = warm_replay(PipelineConfig::four_way(), &predictable);
+        let c = warm_replay(PipelineConfig::four_way(), &chaotic);
         assert!(
             p.predictor.mispredict_ratio() < 0.02,
             "predictable loop mispredicts {}",
@@ -744,7 +726,7 @@ mod tests {
         let r = vm.lwz(base, 0);
         assert_eq!(r.value(), 42);
         let trace = vm.take_trace();
-        let res = run(PipelineConfig::four_way(), &trace);
+        let res = warm_replay(PipelineConfig::four_way(), &trace);
         // The load cannot complete before the store; with L1 at 4 cycles
         // the chain is at least store-complete + load-latency long.
         assert!(res.cycles > 8, "cycles = {}", res.cycles);
@@ -762,8 +744,8 @@ mod tests {
         let trace = vm.take_trace();
         let mut narrow = PipelineConfig::eight_way();
         narrow.miss_max = 1;
-        let n = Simulator::simulate(narrow, None, &trace);
-        let w = Simulator::simulate(PipelineConfig::eight_way(), None, &trace);
+        let n = Simulator::simulate_reference(narrow, None, &trace);
+        let w = Simulator::simulate_reference(PipelineConfig::eight_way(), None, &trace);
         assert!(
             n.cycles > w.cycles,
             "miss_max=1 {} should exceed miss_max=8 {}",
@@ -782,7 +764,7 @@ mod tests {
             x = vm.addi(x, 1);
         }
         let chain = vm.take_trace();
-        let r = run(PipelineConfig::eight_way(), &chain);
+        let r = warm_replay(PipelineConfig::eight_way(), &chain);
         assert!(r.breakdown.conserves(r.cycles), "{:?}", r.breakdown);
         assert!(r.breakdown.useful > 0);
 
@@ -796,7 +778,7 @@ mod tests {
             let _ = vm.lvxu(i0, p);
         }
         let unaligned = vm.take_trace();
-        let r = run(
+        let r = warm_replay(
             PipelineConfig::two_way().with_realign(valign_cache::RealignConfig::extra(6)),
             &unaligned,
         );
@@ -804,7 +786,7 @@ mod tests {
         assert!(r.breakdown.realign > 0, "{:?}", r.breakdown);
 
         // Empty trace: empty breakdown, still conserved.
-        let empty = Simulator::new(PipelineConfig::four_way()).run(&Trace::new());
+        let empty = Simulator::simulate_reference(PipelineConfig::four_way(), None, &Trace::new());
         assert!(empty.breakdown.conserves(0));
     }
 
@@ -819,7 +801,7 @@ mod tests {
             acc = vm.add(acc, v);
         }
         let trace = vm.take_trace();
-        let r = Simulator::simulate(PipelineConfig::two_way(), None, &trace);
+        let r = Simulator::simulate_reference(PipelineConfig::two_way(), None, &trace);
         assert!(r.breakdown.conserves(r.cycles), "{:?}", r.breakdown);
         assert!(r.breakdown.miss_latency > 0, "{:?}", r.breakdown);
     }
@@ -1009,20 +991,6 @@ mod tests {
         .expect("nothing to replay, nothing to abort");
         assert_eq!(r.cycles, 0);
     }
-
-    #[test]
-    fn unit_histogram_counts() {
-        let mut vm = Vm::new();
-        let a = vm.vspltisb(1);
-        let b = vm.vspltisb(2);
-        let _ = vm.vaddubm(a, b);
-        let _ = vm.li(0);
-        let h = unit_histogram(vm.trace());
-        assert_eq!(h[Unit::Vperm.index()], 2); // two splats
-        assert_eq!(h[Unit::Vi.index()], 1);
-        assert_eq!(h[Unit::Fx.index()], 1);
-        assert_eq!(memory_ops(vm.trace()).count(), 0);
-    }
 }
 
 #[cfg(test)]
@@ -1041,9 +1009,8 @@ mod icache_tests {
             let _ = vm.addi(a, 2);
         }
         let t = vm.take_trace();
-        let mut sim = Simulator::new(PipelineConfig::four_way());
-        let cold = sim.run(&t);
-        let warm = sim.run(&t);
+        let cold = Simulator::simulate_reference(PipelineConfig::four_way(), None, &t);
+        let warm = Simulator::simulate_reference(PipelineConfig::four_way(), Some(&t), &t);
         assert!(
             warm.cycles <= cold.cycles,
             "warm {} vs cold {}",
@@ -1062,9 +1029,8 @@ mod icache_tests {
             let _ = vm.addi(a, 2);
         }
         let t = vm.take_trace();
-        let mut sim = Simulator::new(PipelineConfig::four_way());
-        let cold = sim.run(&t);
-        let warm = sim.run(&t);
+        let cold = Simulator::simulate_reference(PipelineConfig::four_way(), None, &t);
+        let warm = Simulator::simulate_reference(PipelineConfig::four_way(), Some(&t), &t);
         assert!(
             cold.cycles
                 <= warm.cycles + 3 * u64::from(PipelineConfig::four_way().memory.l2_latency),

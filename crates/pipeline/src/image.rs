@@ -226,6 +226,28 @@ pub(crate) enum DstFile {
     Vpr,
 }
 
+/// Load or store, decoded from a memory record's flag byte.
+pub(crate) fn mem_kind_of(f: u8) -> MemKind {
+    if f & flags::STORE != 0 {
+        MemKind::Store
+    } else {
+        MemKind::Load
+    }
+}
+
+impl DstFile {
+    /// Decodes the destination file from a record's flag byte.
+    pub(crate) fn from_flags(f: u8) -> DstFile {
+        if f & flags::HAS_DST == 0 {
+            DstFile::None
+        } else if f & flags::DST_VPR != 0 {
+            DstFile::Vpr
+        } else {
+            DstFile::Gpr
+        }
+    }
+}
+
 /// One word-packed bitset over trace records (or over the compact
 /// memory/branch ordinals).
 fn set_bit(words: &mut [u64], i: usize) {
@@ -360,17 +382,11 @@ impl ReplayImage {
                 Some(valign_isa::Reg::Vpr(_)) => f |= flags::HAS_DST | flags::DST_VPR,
                 None => {}
             }
-            let mut defs = [NO_DEF; 3];
-            for (slot, src) in defs.iter_mut().zip(instr.srcs.iter()) {
-                if let Some(d) = src.and_then(|s| s.def) {
-                    *slot = d;
-                }
-            }
             img.ops.push(instr.op);
             img.units.push(instr.op.unit().index() as u8);
             img.flags.push(f);
             img.sids.push(instr.sid);
-            img.src_defs.push(defs);
+            img.src_defs.push(src_defs_of(instr));
         }
         img.mem_dep_offsets.push(img.mem_deps.len() as u32);
         img
@@ -417,12 +433,11 @@ impl ReplayImage {
             return None;
         }
         let slot = rank(&self.mem_mask, idx);
-        let kind = if self.flags[idx] & flags::STORE != 0 {
-            MemKind::Store
-        } else {
-            MemKind::Load
-        };
-        Some((self.mem_addrs[slot], self.mem_bytes[slot], kind))
+        Some((
+            self.mem_addrs[slot],
+            self.mem_bytes[slot],
+            mem_kind_of(self.flags[idx]),
+        ))
     }
 
     /// The branch outcome of record `idx`, if it is a branch:
@@ -987,28 +1002,29 @@ impl ReplayImage {
     pub(crate) fn branch_uncond_bit(&self, ord: usize) -> bool {
         get_bit(&self.branch_uncond, ord)
     }
-
-    /// Destination register file of record `idx`, decoded from flags.
-    pub(crate) fn dst_file(&self, idx: usize) -> DstFile {
-        let f = self.flags[idx];
-        if f & flags::HAS_DST == 0 {
-            DstFile::None
-        } else if f & flags::DST_VPR != 0 {
-            DstFile::Vpr
-        } else {
-            DstFile::Gpr
-        }
-    }
 }
 
 /// Decodes the destination file straight from a recorded instruction —
-/// the reference walker's counterpart of [`ReplayImage::dst_file`].
+/// the record-form counterpart of [`DstFile::from_flags`].
 pub(crate) fn dst_file_of(instr: &DynInstr) -> DstFile {
     match instr.dst {
         None => DstFile::None,
         Some(valign_isa::Reg::Gpr(_)) => DstFile::Gpr,
         Some(valign_isa::Reg::Vpr(_)) => DstFile::Vpr,
     }
+}
+
+/// Packs a recorded instruction's producer indices, one per source slot,
+/// [`NO_DEF`] marking absent or external producers — the
+/// [`ReplayImage::src_defs`] entry of the record.
+pub(crate) fn src_defs_of(instr: &DynInstr) -> [u32; 3] {
+    let mut defs = [NO_DEF; 3];
+    for (slot, src) in defs.iter_mut().zip(instr.srcs.iter()) {
+        if let Some(d) = src.and_then(|s| s.def) {
+            *slot = d;
+        }
+    }
+    defs
 }
 
 #[cfg(test)]
@@ -1074,7 +1090,7 @@ mod tests {
 
         // ALU record: dst in GPR file, no mem, no branch.
         assert_eq!(img.op(0), Opcode::Li);
-        assert_eq!(img.dst_file(0), DstFile::Gpr);
+        assert_eq!(DstFile::from_flags(img.record_flags(0)), DstFile::Gpr);
         assert_eq!(img.mem_ref_at(0), None);
         assert_eq!(img.branch_at(0), None);
         assert_eq!(img.src_defs()[0], [NO_DEF; 3]);
@@ -1084,7 +1100,7 @@ mod tests {
         assert_ne!(f & flags::MEM, 0);
         assert_eq!(f & flags::STORE, 0);
         assert_ne!(f & flags::UNALIGNED, 0);
-        assert_eq!(img.dst_file(1), DstFile::Vpr);
+        assert_eq!(DstFile::from_flags(f), DstFile::Vpr);
         assert_eq!(img.mem_ref_at(1), Some((0x1003, 16, MemKind::Load)));
         assert_eq!(img.src_defs()[1], [0, NO_DEF, NO_DEF]);
 
@@ -1092,7 +1108,7 @@ mod tests {
         let f = img.record_flags(2);
         assert_ne!(f & flags::STORE, 0);
         assert_eq!(f & flags::UNALIGNED, 0);
-        assert_eq!(img.dst_file(2), DstFile::None);
+        assert_eq!(DstFile::from_flags(f), DstFile::None);
         assert_eq!(img.mem_ref_at(2), Some((0x2000, 4, MemKind::Store)));
 
         // Branch record: taken, conditional.
@@ -1118,7 +1134,10 @@ mod tests {
                 img.branch_at(idx),
                 instr.branch.map(|b| (b.taken, b.unconditional))
             );
-            assert_eq!(img.dst_file(idx), dst_file_of(instr));
+            assert_eq!(
+                DstFile::from_flags(img.record_flags(idx)),
+                dst_file_of(instr)
+            );
             let defs: Vec<u32> = img.src_defs()[idx]
                 .iter()
                 .copied()

@@ -13,11 +13,14 @@
 //!   network latency for the paper's unaligned `lvxu`/`stvxu` accesses;
 //! * a packed structure-of-arrays [`ReplayImage`] (see [`image`]) that a
 //!   trace is compiled into once and replayed from many times — the
-//!   generate-once / replay-many hot path of the whole evaluation;
+//!   generate-once / replay-many hot path of the whole evaluation
+//!   ([`Simulator::simulate_image`]). One replay walk serves both the
+//!   image and the record-form trace ([`Simulator::simulate_reference`]),
+//!   the reference the image is equivalence-tested against;
 //! * cycle attribution (see [`attribution`]): every replayed cycle charged
 //!   to exactly one stall bucket in the [`StallBreakdown`] carried by each
 //!   [`SimResult`], with `sum(buckets) == cycles` guaranteed;
-//! * a guarded replay path ([`Simulator::try_run_image`]) that verifies
+//! * a guarded replay path ([`Simulator::try_simulate_image`]) that verifies
 //!   image integrity ([`ReplayImage::validate`], checksums via [`hash`]),
 //!   bounds-checks the pre-resolved dependence walk, and enforces a
 //!   deterministic cycle-budget watchdog plus injected stalls through
@@ -27,7 +30,7 @@
 //! ## Example
 //!
 //! ```
-//! use valign_pipeline::{PipelineConfig, Simulator};
+//! use valign_pipeline::{PipelineConfig, ReplayImage, Simulator};
 //! use valign_vm::Vm;
 //!
 //! let mut vm = Vm::new();
@@ -39,10 +42,14 @@
 //! }
 //! let trace = vm.take_trace();
 //!
-//! let mut sim = Simulator::new(PipelineConfig::four_way());
-//! let result = sim.run(&trace);
+//! // Compile once, then warm up and measure on the same image.
+//! let image = ReplayImage::build(&trace);
+//! let result = Simulator::simulate_image(PipelineConfig::four_way(), Some(&image), &image);
 //! assert_eq!(result.unaligned_accesses, 32);
 //! assert!(result.cycles > 0);
+//! // The record-form reference walk agrees bit for bit.
+//! let reference = Simulator::simulate_reference(PipelineConfig::four_way(), Some(&trace), &trace);
+//! assert_eq!(result, reference);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +71,7 @@ pub mod result;
 pub use attribution::{Bucket, StallBreakdown};
 pub use config::{IssuePolicy, PipelineConfig};
 pub use costmodel::CostBounds;
-pub use engine::{memory_ops, unit_histogram, RunGuards, Simulator, StallInjection};
+pub use engine::{RunGuards, Simulator, StallInjection};
 pub use hash::WordHash;
 pub use image::{AuditSabotage, ReplayImage, Sabotage};
 pub use latency::{Latency, LatencyTable};

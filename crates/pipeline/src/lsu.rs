@@ -8,11 +8,10 @@
 use crate::backend::UnitPool;
 use crate::config::PipelineConfig;
 use crate::result::{SimError, SimResult};
-use std::collections::VecDeque;
 use valign_cache::{BankScheme, Hierarchy, RealignConfig};
 use valign_isa::MemKind;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingStore {
     addr: u64,
     bytes: u64,
@@ -24,6 +23,23 @@ struct PendingStore {
 /// ordered by the model — the `valign-analyze` memory-dependence rule
 /// audits traces against exactly this assumption.
 pub const STORE_QUEUE_TRACK: usize = 64;
+
+/// One memory access as the replay walk hands it to [`Lsu::execute`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemAccess<'a> {
+    /// Effective address.
+    pub addr: u64,
+    /// Access width in bytes.
+    pub bytes: u8,
+    /// Load or store.
+    pub kind: MemKind,
+    /// The record's unaligned-vector-access flag (unaligned-capable
+    /// opcode with a non-zero quad offset).
+    pub unaligned: bool,
+    /// The replay image's pre-resolved store-to-load dependences (store
+    /// ordinals); `None` for a record-form access, which scans instead.
+    pub deps: Option<&'a [u32]>,
+}
 
 /// The timing decomposition of one executed memory access, consumed by
 /// the engine's cycle attribution. The milestones are non-decreasing and
@@ -54,12 +70,10 @@ pub(crate) struct Lsu<'a> {
     mem: &'a mut Hierarchy,
     read_ports: UnitPool,
     write_ports: UnitPool,
-    store_queue: VecDeque<PendingStore>,
-    // Completion cycles of the last STORE_QUEUE_TRACK stores, indexed by
-    // store ordinal modulo the window — the image path's counterpart of
-    // `store_queue`, addressed through the image's pre-resolved
-    // dependence lists instead of scanned.
-    store_ring: [u64; STORE_QUEUE_TRACK],
+    // The last STORE_QUEUE_TRACK stores, indexed by store ordinal modulo
+    // the window: addressed directly through an image's pre-resolved
+    // dependence lists, scanned for a record-form access.
+    store_ring: [PendingStore; STORE_QUEUE_TRACK],
     stores_seen: usize,
     miss_queue: Vec<u64>,
     miss_cap: usize,
@@ -75,8 +89,7 @@ impl<'a> Lsu<'a> {
             mem,
             read_ports: UnitPool::new(cfg.dcache_read_ports),
             write_ports: UnitPool::new(cfg.dcache_write_ports),
-            store_queue: VecDeque::with_capacity(STORE_QUEUE_TRACK),
-            store_ring: [0; STORE_QUEUE_TRACK],
+            store_ring: [PendingStore::default(); STORE_QUEUE_TRACK],
             stores_seen: 0,
             miss_queue: Vec::with_capacity(miss_cap),
             miss_cap,
@@ -95,147 +108,64 @@ impl<'a> Lsu<'a> {
         port.acquire(min)
     }
 
-    /// Executes one memory access issued at `issue_cycle`; returns its
-    /// timing decomposition (completion cycle plus attribution milestones)
-    /// and accumulates penalty statistics into `result`. `unaligned` is
-    /// the record's precomputed unaligned-vector-access flag
-    /// (unaligned-capable opcode with a non-zero quad offset).
+    /// Executes one memory access issued at `issue_cycle` — store-to-load
+    /// ordering, hierarchy access, bounded miss queue, realignment
+    /// penalty — and returns its timing decomposition (completion cycle
+    /// plus attribution milestones), accumulating penalty statistics into
+    /// `result`.
     ///
-    /// Store-to-load ordering scans the store queue per load — the
-    /// reference-path behaviour. The image path uses
-    /// [`Lsu::execute_prepared`] instead.
-    pub(crate) fn execute(
+    /// Store-to-load ordering comes from `access.deps` when the replay
+    /// image pre-resolved it: the ordinals of exactly the stores a scan
+    /// would find overlapping, looked up directly in the store ring. A
+    /// record-form access (`deps: None`) scans the ring instead. A
+    /// well-formed image only names stores within the trailing
+    /// [`STORE_QUEUE_TRACK`]-store window; an ordinal outside it would
+    /// read a slot belonging to a *different* store and silently skew the
+    /// timing, so `CHECKED` (the guarded replay) reports it as
+    /// [`SimError::DepOutOfWindow`] at record `index`.
+    // Forced inline: the inliner outlined it from the unguarded walk,
+    // which cost the image walk several percent.
+    #[inline(always)]
+    pub(crate) fn execute<const CHECKED: bool>(
         &mut self,
-        addr: u64,
-        bytes: u8,
-        kind: MemKind,
-        unaligned: bool,
-        issue_cycle: u64,
-        result: &mut SimResult,
-    ) -> MemExec {
-        let mut start = issue_cycle;
-        let is_store = kind == MemKind::Store;
-
-        // Store-to-load ordering through the store queue.
-        if !is_store {
-            for st in self.store_queue.iter() {
-                if ranges_overlap(st.addr, st.bytes, addr, u64::from(bytes)) {
-                    start = start.max(st.complete);
-                }
-            }
-        }
-
-        let exec = self.access(addr, bytes, is_store, unaligned, start, result);
-        if is_store {
-            if self.store_queue.len() == STORE_QUEUE_TRACK {
-                self.store_queue.pop_front();
-            }
-            self.store_queue.push_back(PendingStore {
-                addr,
-                bytes: u64::from(bytes),
-                complete: exec.complete,
-            });
-        }
-        exec
-    }
-
-    /// [`Lsu::execute`] with the store-queue scan replaced by the replay
-    /// image's pre-resolved dependence list: `deps` holds the ordinals of
-    /// exactly the stores a scan would find overlapping, so ordering is a
-    /// direct lookup of their completion cycles in the store ring.
-    /// Bit-identical to `execute` on the same access sequence.
-    // One argument over the clippy limit: the parameters are the decoded
-    // fields of one memory record plus its dependence list, and bundling
-    // them into a struct would just rebuild the record the image unpacked.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn execute_prepared(
-        &mut self,
-        addr: u64,
-        bytes: u8,
-        kind: MemKind,
-        unaligned: bool,
-        deps: &[u32],
-        issue_cycle: u64,
-        result: &mut SimResult,
-    ) -> MemExec {
-        let mut start = issue_cycle;
-        let is_store = kind == MemKind::Store;
-
-        for &ordinal in deps {
-            start = start.max(self.store_ring[ordinal as usize % STORE_QUEUE_TRACK]);
-        }
-
-        let exec = self.access(addr, bytes, is_store, unaligned, start, result);
-        if is_store {
-            self.store_ring[self.stores_seen % STORE_QUEUE_TRACK] = exec.complete;
-            self.stores_seen += 1;
-        }
-        exec
-    }
-
-    /// [`Lsu::execute_prepared`] with the store-ring lookups bounds-checked
-    /// — the guarded replay path. A well-formed image only ever names
-    /// ordinals of already-executed stores within the trailing
-    /// [`STORE_QUEUE_TRACK`]-store window (the build-time resolver mirrors
-    /// the store queue exactly); an ordinal outside that window would read
-    /// a ring slot belonging to a *different* store, silently skewing the
-    /// timing, so the checked path reports it as
-    /// [`SimError::DepOutOfWindow`] with the record index for context.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_prepared_checked(
-        &mut self,
-        addr: u64,
-        bytes: u8,
-        kind: MemKind,
-        unaligned: bool,
-        deps: &[u32],
+        access: &MemAccess<'_>,
         index: usize,
         issue_cycle: u64,
         result: &mut SimResult,
     ) -> Result<MemExec, SimError> {
         let mut start = issue_cycle;
-        let is_store = kind == MemKind::Store;
-
-        for &ordinal in deps {
-            let o = ordinal as usize;
-            if o >= self.stores_seen || self.stores_seen - o > STORE_QUEUE_TRACK {
-                return Err(SimError::DepOutOfWindow {
-                    index,
-                    ordinal,
-                    stores_seen: self.stores_seen as u64,
-                });
+        let is_store = access.kind == MemKind::Store;
+        match access.deps {
+            Some(deps) => {
+                for &ordinal in deps {
+                    let o = ordinal as usize;
+                    if CHECKED
+                        && (o >= self.stores_seen || self.stores_seen - o > STORE_QUEUE_TRACK)
+                    {
+                        return Err(SimError::DepOutOfWindow {
+                            index,
+                            ordinal,
+                            stores_seen: self.stores_seen as u64,
+                        });
+                    }
+                    start = start.max(self.store_ring[o % STORE_QUEUE_TRACK].complete);
+                }
             }
-            start = start.max(self.store_ring[o % STORE_QUEUE_TRACK]);
+            None if !is_store => {
+                let live = self.stores_seen.min(STORE_QUEUE_TRACK);
+                for st in &self.store_ring[..live] {
+                    if ranges_overlap(st.addr, st.bytes, access.addr, u64::from(access.bytes)) {
+                        start = start.max(st.complete);
+                    }
+                }
+            }
+            None => {}
         }
 
-        let exec = self.access(addr, bytes, is_store, unaligned, start, result);
-        if is_store {
-            self.store_ring[self.stores_seen % STORE_QUEUE_TRACK] = exec.complete;
-            self.stores_seen += 1;
-        }
-        Ok(exec)
-    }
-
-    /// The ordering-independent tail shared by both execute paths:
-    /// hierarchy access, bounded miss queue, realignment penalty. `start`
-    /// is the issue cycle already raised by store-to-load ordering; it
-    /// becomes the returned [`MemExec::after_store_dep`] milestone.
-    #[inline]
-    fn access(
-        &mut self,
-        addr: u64,
-        bytes: u8,
-        is_store: bool,
-        unaligned: bool,
-        start: u64,
-        result: &mut SimResult,
-    ) -> MemExec {
         let after_store_dep = start;
-        let mut start = start;
         let outcome = self
             .mem
-            .access(addr, u32::from(bytes), is_store, self.banks);
+            .access(access.addr, u32::from(access.bytes), is_store, self.banks);
         if outcome.split {
             result.split_accesses += 1;
         }
@@ -257,6 +187,7 @@ impl<'a> Lsu<'a> {
         let after_mshr = start;
 
         // Realignment-network penalty for unaligned vector access.
+        let unaligned = access.unaligned;
         let penalty = self
             .realign
             .penalty(unaligned, is_store, outcome.split, self.l1_latency);
@@ -269,19 +200,27 @@ impl<'a> Lsu<'a> {
         if !outcome.l1_hit {
             self.miss_queue.push(complete);
         }
+        if is_store {
+            self.store_ring[self.stores_seen % STORE_QUEUE_TRACK] = PendingStore {
+                addr: access.addr,
+                bytes: u64::from(access.bytes),
+                complete,
+            };
+            self.stores_seen += 1;
+        }
         // Attribution split of the hierarchy latency: the L1-hit portion
         // is useful work; anything beyond is miss latency, unless every
         // line hit and the excess is the serialised split lookup (port
         // contention on a single-banked L1).
         let hit_cycles = outcome.latency.min(self.l1_latency);
-        MemExec {
+        Ok(MemExec {
             complete,
             after_store_dep,
             after_mshr,
             hit_cycles,
             extra_cycles: outcome.latency - hit_cycles,
             extra_is_miss: !outcome.l1_hit,
-        }
+        })
     }
 }
 

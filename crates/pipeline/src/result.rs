@@ -8,7 +8,7 @@ use valign_cache::CacheStats;
 use valign_isa::Opcode;
 
 /// A structured replay failure, produced by the guarded engine path
-/// ([`crate::Simulator::try_run_image`]) and by
+/// ([`crate::Simulator::try_simulate_image`]) and by
 /// [`crate::ReplayImage::validate`] in place of the ad-hoc panics the
 /// unguarded hot path keeps.
 ///

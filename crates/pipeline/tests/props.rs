@@ -6,7 +6,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use valign_cache::RealignConfig;
 use valign_isa::Trace;
-use valign_pipeline::{ranges_overlap, IssuePolicy, PipelineConfig, ReplayImage, Simulator};
+use valign_pipeline::{
+    ranges_overlap, IssuePolicy, PipelineConfig, ReplayImage, RunGuards, Simulator,
+};
 use valign_vm::{Scalar, Vm};
 
 /// Generates a random but well-formed program: ALU work, loads/stores
@@ -61,8 +63,8 @@ fn random_trace(seed: u64, len: usize) -> Trace {
     vm.take_trace()
 }
 
-fn run(cfg: PipelineConfig, t: &Trace) -> u64 {
-    Simulator::simulate(cfg, None, t).cycles
+fn cold_cycles(cfg: PipelineConfig, t: &Trace) -> u64 {
+    Simulator::simulate_reference(cfg, None, t).cycles
 }
 
 proptest! {
@@ -73,7 +75,7 @@ proptest! {
         let t = random_trace(seed, 400);
         for cfg in PipelineConfig::table_ii() {
             let width = u64::from(cfg.fetch_width);
-            let cycles = run(cfg.clone(), &t);
+            let cycles = cold_cycles(cfg.clone(), &t);
             // Lower bound: cannot beat fetch bandwidth.
             prop_assert!(cycles >= t.len() as u64 / width, "{}", cfg.name);
             // Upper bound: fully serial execution with worst-case memory.
@@ -88,7 +90,7 @@ proptest! {
         let ooo = PipelineConfig::four_way();
         let mut ino = PipelineConfig::four_way();
         ino.policy = IssuePolicy::InOrder;
-        prop_assert!(run(ooo, &t) <= run(ino, &t));
+        prop_assert!(cold_cycles(ooo, &t) <= cold_cycles(ino, &t));
     }
 
     #[test]
@@ -103,7 +105,7 @@ proptest! {
         for extra in [0u32, 1, 2, 4, 6, 10] {
             let mut cfg = PipelineConfig::four_way().with_realign(RealignConfig::extra(extra));
             cfg.miss_max = 1_000_000;
-            let c = run(cfg, &t);
+            let c = cold_cycles(cfg, &t);
             prop_assert!(c >= prev, "extra {extra}: {c} < {prev}");
             prev = c;
         }
@@ -114,14 +116,14 @@ proptest! {
         // Default (bounded-MSHR) configuration: require the trend with a
         // ~8% tolerance for structural-hazard scheduling jumps.
         let t = random_trace(seed, 300);
-        let base = run(
+        let base = cold_cycles(
             PipelineConfig::four_way().with_realign(RealignConfig::extra(0)),
             &t,
         );
         let mut worst = 0u64;
         for extra in [0u32, 1, 2, 4, 6, 10] {
             let cfg = PipelineConfig::four_way().with_realign(RealignConfig::extra(extra));
-            let c = run(cfg, &t);
+            let c = cold_cycles(cfg, &t);
             prop_assert!(
                 c * 25 >= worst * 23,
                 "extra {extra}: {c} far below best-so-far {worst}"
@@ -134,7 +136,7 @@ proptest! {
     #[test]
     fn more_resources_never_hurt(seed in 0u64..5000) {
         let t = random_trace(seed, 400);
-        let base = run(PipelineConfig::four_way(), &t);
+        let base = cold_cycles(PipelineConfig::four_way(), &t);
         // Double every unit and port.
         let mut big = PipelineConfig::four_way();
         for u in big.units.iter_mut() {
@@ -143,14 +145,15 @@ proptest! {
         big.dcache_read_ports *= 2;
         big.dcache_write_ports *= 2;
         big.miss_max *= 2;
-        prop_assert!(run(big, &t) <= base);
+        prop_assert!(cold_cycles(big, &t) <= base);
     }
 
     #[test]
     fn determinism(seed in 0u64..5000) {
         let t = random_trace(seed, 300);
-        let a = Simulator::simulate(PipelineConfig::eight_way(), Some(&t), &t);
-        let b = Simulator::simulate(PipelineConfig::eight_way(), Some(&t), &t);
+        let image = ReplayImage::build(&t);
+        let a = Simulator::simulate_image(PipelineConfig::eight_way(), Some(&image), &image);
+        let b = Simulator::simulate_image(PipelineConfig::eight_way(), Some(&image), &image);
         prop_assert_eq!(a, b);
     }
 
@@ -158,20 +161,25 @@ proptest! {
     fn image_replay_is_bit_identical_to_reference(seed in 0u64..5000) {
         // The packed image is a lossless re-encoding: on arbitrary
         // programs (ALU chains, overlapping loads/stores, unaligned
-        // vector accesses, loop branches) the image walk and the
-        // record-form reference walk produce equal results on every
-        // configuration, cold and warm; its opcode column alone yields
-        // the trace's instruction mix.
+        // vector accesses, loop branches) the record-form reference walk,
+        // the image walk and the guarded image walk produce equal results
+        // on every configuration, cold and warm; its opcode column alone
+        // yields the trace's instruction mix.
         let t = random_trace(seed, 400);
         let image = ReplayImage::build(&t);
         prop_assert_eq!(image.mix(), t.mix());
         for cfg in PipelineConfig::table_ii() {
-            let mut reference = Simulator::new(cfg.clone());
-            let mut packed = Simulator::new(cfg.clone());
-            for pass in 0..2 {
-                let r = reference.run_reference(&t);
-                let i = packed.run_image(&image);
-                prop_assert_eq!(r, i, "{} pass {}", cfg.name, pass);
+            for warm in [false, true] {
+                let r = Simulator::simulate_reference(cfg.clone(), warm.then_some(&t), &t);
+                let i = Simulator::simulate_image(cfg.clone(), warm.then_some(&image), &image);
+                let g = Simulator::try_simulate_image(
+                    cfg.clone(),
+                    warm.then_some(&image),
+                    &image,
+                    &RunGuards::default(),
+                );
+                prop_assert_eq!(&r, &i, "{} warm={}", cfg.name, warm);
+                prop_assert_eq!(Ok(r), g, "{} warm={} (guarded)", cfg.name, warm);
             }
         }
     }
@@ -179,7 +187,7 @@ proptest! {
     #[test]
     fn result_accounting_is_consistent(seed in 0u64..5000) {
         let t = random_trace(seed, 300);
-        let r = Simulator::simulate(PipelineConfig::four_way(), None, &t);
+        let r = Simulator::simulate_reference(PipelineConfig::four_way(), None, &t);
         prop_assert_eq!(r.instructions, t.len() as u64);
         prop_assert_eq!(r.unaligned_accesses, t.unaligned_vector_accesses());
         prop_assert!(r.predictor.mispredicts <= r.predictor.branches);
@@ -193,10 +201,11 @@ proptest! {
         // every Table II configuration, the attributed buckets sum exactly
         // to the replay's cycle count, cold and warm.
         let t = random_trace(seed, 300);
+        let image = ReplayImage::build(&t);
         for cfg in PipelineConfig::table_ii() {
-            let mut sim = Simulator::new(cfg.clone());
             for pass in 0..2 {
-                let r = sim.run(&t);
+                let warmup = (pass == 1).then_some(&image);
+                let r = Simulator::simulate_image(cfg.clone(), warmup, &image);
                 prop_assert!(
                     r.breakdown.conserves(r.cycles),
                     "{} pass {}: {} attributed vs {} cycles",

@@ -7,7 +7,7 @@ use valign::core::experiments::measure;
 use valign::core::workload::{trace_kernel, KernelId};
 use valign::h264::BlockSize;
 use valign::kernels::util::Variant;
-use valign::pipeline::{PipelineConfig, Simulator};
+use valign::pipeline::{PipelineConfig, ReplayImage, Simulator};
 
 const EXECS: usize = 30;
 const SEED: u64 = 2007;
@@ -109,12 +109,10 @@ fn latency_sweep_is_monotone_and_crosses_for_sad16() {
 #[test]
 fn simulator_state_reuse_is_deterministic() {
     let trace = trace_kernel(KernelId::Chroma(BlockSize::B8x8), Variant::Unaligned, 10, 3);
-    let mut sim1 = Simulator::new(PipelineConfig::four_way());
-    let a1 = sim1.run(&trace);
-    let a2 = sim1.run(&trace);
-    let mut sim2 = Simulator::new(PipelineConfig::four_way());
-    let b1 = sim2.run(&trace);
-    let b2 = sim2.run(&trace);
+    let image = ReplayImage::build(&trace);
+    let run = |warmup| Simulator::simulate_image(PipelineConfig::four_way(), warmup, &image);
+    let (a1, a2) = (run(None), run(Some(&image)));
+    let (b1, b2) = (run(None), run(Some(&image)));
     assert_eq!(a1.cycles, b1.cycles, "cold runs identical");
     assert_eq!(a2.cycles, b2.cycles, "warm runs identical");
     assert!(a2.cycles <= a1.cycles, "warm run not slower than cold");

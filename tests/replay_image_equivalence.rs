@@ -1,31 +1,43 @@
 //! The packed replay-image hot path is a lossless re-encoding of the
 //! engine: for every kernel/variant workload trace and every Table II
-//! configuration, replaying the image produces a `SimResult` bit-identical
-//! to the retained record-form reference walker — cold, warm, with a
-//! realignment penalty, and through the convenience entry points.
+//! configuration, replaying the image — unguarded and guarded — produces a
+//! `SimResult` bit-identical to the record-form reference path, cold,
+//! warm, and with a realignment penalty.
 
 use valign::cache::RealignConfig;
 use valign::core::workload::{trace_kernel, KernelId};
 use valign::kernels::util::Variant;
-use valign::pipeline::{PipelineConfig, ReplayImage, Simulator};
+use valign::pipeline::{PipelineConfig, ReplayImage, RunGuards, Simulator};
 
 const EXECS: usize = 8;
 const SEED: u64 = 20070425;
 
-/// Cold and warm replays of `trace` on `cfg`, reference vs image, must
-/// match result-for-result (the warm pass also proves that persistent
-/// cache/predictor state evolves identically under both walks). The
-/// stall attribution is held to the same standard explicitly: the two
-/// paths charge every cycle to the same bucket, and each path's buckets
-/// sum exactly to its cycle count.
+/// Cold and warm replays of `trace` on `cfg` through all three entry
+/// points — the reference path, the image path and the guarded image
+/// path — must match result-for-result (the warm pass also proves that
+/// persistent cache/predictor state evolves identically under every
+/// walk). The stall attribution is held to the same standard explicitly:
+/// the paths charge every cycle to the same bucket, and the buckets sum
+/// exactly to the cycle count.
 fn assert_equivalent(cfg: &PipelineConfig, trace: &valign::isa::Trace, label: &str) {
-    let image = ReplayImage::build(trace);
-    let mut reference = Simulator::new(cfg.clone());
-    let mut packed = Simulator::new(cfg.clone());
-    for pass in ["cold", "warm"] {
-        let r = reference.run_reference(trace);
-        let i = packed.run_image(&image);
+    let image = ReplayImage::build(trace).into_shared();
+    for warm in [false, true] {
+        let pass = if warm { "warm" } else { "cold" };
+        let r = Simulator::simulate_reference(cfg.clone(), warm.then_some(trace), trace);
+        let i = Simulator::simulate_image(cfg.clone(), warm.then_some(&image), &image);
+        let g = Simulator::try_simulate_image(
+            cfg.clone(),
+            warm.then_some(&image),
+            &image,
+            &RunGuards::default(),
+        )
+        .unwrap_or_else(|e| panic!("{label} [{}] guarded {pass} pass failed: {e}", cfg.name));
         assert_eq!(r, i, "{label} [{}] diverged on the {pass} pass", cfg.name);
+        assert_eq!(
+            i, g,
+            "{label} [{}] guarded diverged on the {pass} pass",
+            cfg.name
+        );
         assert_eq!(
             r.breakdown, i.breakdown,
             "{label} [{}] attribution diverged on the {pass} pass",
@@ -76,24 +88,5 @@ fn image_mix_matches_trace_mix_for_every_kernel_variant() {
                 variant.label()
             );
         }
-    }
-}
-
-#[test]
-fn convenience_entry_points_agree() {
-    let trace = trace_kernel(
-        KernelId::Luma(valign::h264::BlockSize::B8x8),
-        Variant::Unaligned,
-        EXECS,
-        SEED,
-    );
-    let image = ReplayImage::build(&trace).into_shared();
-    for cfg in PipelineConfig::table_ii() {
-        let via_trace = Simulator::simulate(cfg.clone(), Some(&trace), &trace);
-        let via_image = Simulator::simulate_image(cfg.clone(), Some(&image), &image);
-        assert_eq!(via_trace, via_image, "{}", cfg.name);
-        let cold_trace = Simulator::simulate(cfg.clone(), None, &trace);
-        let cold_image = Simulator::simulate_image(cfg.clone(), None, &image);
-        assert_eq!(cold_trace, cold_image, "{} (cold)", cfg.name);
     }
 }

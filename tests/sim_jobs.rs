@@ -86,8 +86,8 @@ proptest! {
             seed,
         };
         let trace = store.get(key);
-        let first = Simulator::simulate(PipelineConfig::four_way(), Some(&trace), &trace);
-        let second = Simulator::simulate(PipelineConfig::four_way(), Some(&trace), &trace);
+        let replay = || Simulator::simulate_reference(PipelineConfig::four_way(), Some(&trace), &trace);
+        let (first, second) = (replay(), replay());
         prop_assert_eq!(first, second);
         // The two replays shared one generation.
         prop_assert_eq!(store.stats().misses, 1);

@@ -64,11 +64,7 @@ fn reference_result(store: &TraceStore, job: &SimJob) -> SimResult {
         valign::core::TraceSource::Key(k) => store.get(*k),
         valign::core::TraceSource::Shared(t) => t.clone(),
     };
-    let mut sim = Simulator::new(job.cfg.clone());
-    if job.warm {
-        let _ = sim.run_reference(&trace);
-    }
-    sim.run_reference(&trace)
+    Simulator::simulate_reference(job.cfg.clone(), job.warm.then_some(&trace), &trace)
 }
 
 #[test]
@@ -141,7 +137,7 @@ fn image_corruption_degrades_every_job_to_the_reference_walker() {
         assert_eq!(
             result,
             &reference_result(&store, job),
-            "{}: degraded result must be bit-identical to run_reference",
+            "{}: degraded result must be bit-identical to simulate_reference",
             job.label()
         );
     }
@@ -170,7 +166,7 @@ fn disk_corruption_degrades_only_the_selected_job() {
             assert_eq!(
                 result,
                 &reference_result(&store, &jobs[i]),
-                "degraded result must be bit-identical to run_reference"
+                "degraded result must be bit-identical to simulate_reference"
             );
         } else {
             assert_eq!(outcome, clean_outcome, "job {i} must be untouched");
@@ -240,7 +236,7 @@ proptest! {
                 prop_assert_eq!(
                     result,
                     &reference_result(&store, job),
-                    "{}: degraded result must match run_reference", spec
+                    "{}: degraded result must match simulate_reference", spec
                 );
             }
         }
