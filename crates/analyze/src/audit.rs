@@ -5,7 +5,7 @@
 //! * [`audit_store`] walks a persistent image store directory
 //!   ([`valign_store::StoreDir`]): every `.vimg` file is decoded through
 //!   the real loader (the full integrity ladder), its content checksum
-//!   re-derived from the decoded arrays, the four static `image-*` rules
+//!   re-derived from the decoded arrays, the three static `image-*` rules
 //!   run ([`crate::analyze_image`]), and — when the image is clean — the
 //!   zero-simulation cost-model bounds of [`crate::costmodel`] computed
 //!   for every Table II configuration. **No trace is recorded and no
@@ -21,11 +21,11 @@
 //! Both reports render human and JSON forms; JSON carries
 //! [`crate::SCHEMA_VERSION`] like the lint report.
 
-use crate::diag::escape_json;
 use crate::{rules, Diagnostic, ImageCtx, Severity, TraceCtx, SCHEMA_VERSION};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use valign_core::serve::protocol::escape_json;
 use valign_core::store_ops::matrix_keys;
 use valign_core::SimContext;
 use valign_pipeline::costmodel::{bounds, CostBounds};
@@ -76,7 +76,7 @@ pub struct FileAudit {
     /// verifies this; the audit re-derives it independently so the
     /// verdict does not rest on the loader's own bookkeeping.)
     pub checksum_rederived: bool,
-    /// Findings of the four static `image-*` rules.
+    /// Findings of the three static `image-*` rules.
     pub diagnostics: Vec<Diagnostic>,
     /// Static cost-model bounds per Table II configuration — computed
     /// only when the image passed the rules clean (the bound walk trusts

@@ -9,13 +9,17 @@
 //! version).
 
 use std::fmt;
+use valign_core::serve::protocol::escape_json;
 
 /// Version of the JSON diagnostic schema (`valign lint --json`,
 /// `valign audit --json`). Bumped only on breaking changes: renaming or
 /// removing a [`RuleName`], or changing the field layout of the report
 /// or diagnostic objects. Adding rules or report fields is
 /// backwards-compatible and does not bump it.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 replaced the two structural image rules (bitset and side
+/// array) with `image-structure`.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The closed set of stable rule names, one per module of
 /// [`crate::rules`] and in the same run order as
@@ -34,14 +38,12 @@ pub enum RuleName {
     MemoryDependence,
     /// `latency-completeness`
     LatencyCompleteness,
-    /// `image-bitset`
-    ImageBitset,
+    /// `image-structure`
+    ImageStructure,
     /// `image-deps`
     ImageDeps,
     /// `image-dep-oracle`
     ImageDepOracle,
-    /// `image-sidearray`
-    ImageSidearray,
     /// `attribution-conservation`
     AttributionConservation,
     /// `outcome-consistency`
@@ -58,10 +60,9 @@ impl RuleName {
         RuleName::RegisterDefUse,
         RuleName::MemoryDependence,
         RuleName::LatencyCompleteness,
-        RuleName::ImageBitset,
+        RuleName::ImageStructure,
         RuleName::ImageDeps,
         RuleName::ImageDepOracle,
-        RuleName::ImageSidearray,
         RuleName::AttributionConservation,
         RuleName::OutcomeConsistency,
         RuleName::CostmodelSoundness,
@@ -75,10 +76,9 @@ impl RuleName {
             RuleName::RegisterDefUse => "register-def-use",
             RuleName::MemoryDependence => "memory-dependence",
             RuleName::LatencyCompleteness => "latency-completeness",
-            RuleName::ImageBitset => "image-bitset",
+            RuleName::ImageStructure => "image-structure",
             RuleName::ImageDeps => "image-deps",
             RuleName::ImageDepOracle => "image-dep-oracle",
-            RuleName::ImageSidearray => "image-sidearray",
             RuleName::AttributionConservation => "attribution-conservation",
             RuleName::OutcomeConsistency => "outcome-consistency",
             RuleName::CostmodelSoundness => "costmodel-soundness",
@@ -186,25 +186,6 @@ impl Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +236,5 @@ mod tests {
             assert_eq!(rule.to_string(), rule.as_str());
         }
         assert_eq!(RuleName::parse("ALIGNMENT-INVARIANT"), None, "case-exact");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape_json("a\\b"), r"a\\b");
-        assert_eq!(escape_json("a\nb"), r"a\nb");
-        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
     }
 }

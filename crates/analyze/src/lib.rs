@@ -8,7 +8,7 @@
 //! against — so a modelling bug surfaces as a named diagnostic instead of
 //! a silently wrong cycle count.
 //!
-//! Twelve rules (see [`rules`]):
+//! Eleven rules (see [`rules`]):
 //!
 //! | rule | checks | gate |
 //! |------|--------|------|
@@ -17,15 +17,14 @@
 //! | `register-def-use` | read-before-write, producer wiring, dead vector defs | mixed |
 //! | `memory-dependence` | store→load overlaps vs the LSU's ordering model | WARNING |
 //! | `latency-completeness` | every observed opcode in all Table II tables | ERROR |
-//! | `image-bitset` | presence-bitset popcounts, tail bits, dependence cursors | ERROR |
+//! | `image-structure` | every [`ReplayImage::violations`] finding: array lengths, masks, cursors, opcode/unit/flag domains, producer bounds | ERROR |
 //! | `image-deps` | dependence lists acyclic, in bounds, inside the LSU window | ERROR |
 //! | `image-dep-oracle` | dependence lists == recomputed store-queue oracle | ERROR |
-//! | `image-sidearray` | side-array lengths, opcode/unit/flag domain agreement | ERROR |
 //! | `attribution-conservation` | stall buckets sum exactly to replay cycles | ERROR |
 //! | `outcome-consistency` | clean supervised replay: thread-count invariant, all Completed, `==` direct replay | ERROR |
 //! | `costmodel-soundness` | measured attribution inside the static cost-model bounds | ERROR |
 //!
-//! The four `image-*` rules are *static audit* rules over a packed
+//! The three `image-*` rules are *static audit* rules over a packed
 //! [`ReplayImage`] — they need no trace and run equally on images decoded
 //! from `.vimg` store files ([`audit`], the engine of `valign audit`).
 //! The conservation, outcome and costmodel-soundness rules replay the
@@ -169,15 +168,14 @@ impl<'a> ImageCtx<'a> {
     }
 }
 
-/// Runs the four static image audit rules over one packed image — no
+/// Runs the three static image audit rules over one packed image — no
 /// trace, no simulation. The engine of `valign audit`; also folded into
 /// every `valign lint` run by [`analyze_trace_with_image`].
 pub fn analyze_image(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(rules::image_bitset::check(ctx));
+    out.extend(rules::image_structure::check(ctx));
     out.extend(rules::image_deps::check(ctx));
     out.extend(rules::image_dep_oracle::check(ctx));
-    out.extend(rules::image_sidearray::check(ctx));
     out
 }
 

@@ -13,37 +13,23 @@
 //! artefact left — exactly the corruption a store-level audit exists to
 //! find.
 //!
-//! Preconditions (silently skipped when broken, `image-bitset` /
-//! `image-sidearray` report them): flag array of `len` entries, compact
-//! arrays matching the MEM population, and consistent cursor offsets.
+//! The rule runs only on images that pass
+//! [`ReplayImage::validate`](valign_pipeline::ReplayImage::validate);
+//! `image-structure` reports the rest.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::ImageCtx;
 use std::collections::VecDeque;
-use valign_pipeline::image::flags;
+use valign_pipeline::image::{flags, MAX_RECORD_VIOLATIONS};
 use valign_pipeline::{ranges_overlap, STORE_QUEUE_TRACK};
 
 pub const RULE: &str = "image-dep-oracle";
 
-/// Cap on reported disagreements; one already fails the gate.
-const MAX_SITES: usize = 20;
-
 pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
     let img = ctx.image;
-    let n = img.len();
-    if img.flags().len() != n {
+    if img.validate().is_err() {
         return Vec::new();
     }
-    let mem_records = img.flags().iter().filter(|&&f| f & flags::MEM != 0).count();
-    let offsets = img.mem_dep_offsets();
-    let pool = img.mem_deps();
-    if img.mem_addrs().len() != mem_records
-        || img.mem_bytes().len() != mem_records
-        || offsets.len() != mem_records + 1
-    {
-        return Vec::new();
-    }
-
     let mut out = Vec::new();
     let mut sites = 0usize;
     let mut recent: VecDeque<(u64, u64, u32)> = VecDeque::with_capacity(STORE_QUEUE_TRACK);
@@ -55,12 +41,7 @@ pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
         }
         let addr = img.mem_addrs()[cursor];
         let bytes = u64::from(img.mem_bytes()[cursor]);
-        let stored: Option<&[u32]> = match (offsets.get(cursor), offsets.get(cursor + 1)) {
-            (Some(&lo), Some(&hi)) if lo <= hi && hi as usize <= pool.len() => {
-                Some(&pool[lo as usize..hi as usize])
-            }
-            _ => None, // corrupt cursors: image-bitset's finding
-        };
+        let stored = img.mem_deps_at(cursor);
         cursor += 1;
         if f & flags::STORE != 0 {
             if recent.len() == STORE_QUEUE_TRACK {
@@ -75,31 +56,29 @@ pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
             .filter(|&&(a, b, _)| ranges_overlap(a, b, addr, bytes))
             .map(|&(_, _, ord)| ord)
             .collect();
-        if let Some(stored) = stored {
-            if stored != oracle.as_slice() {
-                sites += 1;
-                if sites <= MAX_SITES {
-                    out.push(ctx.diag(
-                        RULE,
-                        Severity::Error,
-                        Some(idx as u32),
-                        format!(
-                            "stored dependence list {stored:?} disagrees with the recomputed \
-                             store-queue oracle {oracle:?}"
-                        ),
-                    ));
-                }
+        if stored != oracle.as_slice() {
+            sites += 1;
+            if sites <= MAX_RECORD_VIOLATIONS {
+                out.push(ctx.diag(
+                    RULE,
+                    Severity::Error,
+                    Some(idx as u32),
+                    format!(
+                        "stored dependence list {stored:?} disagrees with the recomputed \
+                         store-queue oracle {oracle:?}"
+                    ),
+                ));
             }
         }
     }
-    if sites > MAX_SITES {
+    if sites > MAX_RECORD_VIOLATIONS {
         out.push(ctx.diag(
             RULE,
             Severity::Error,
             None,
             format!(
-                "{} further oracle disagreement(s) suppressed (cap {MAX_SITES})",
-                sites - MAX_SITES
+                "{} further oracle disagreement(s) suppressed (cap {MAX_RECORD_VIOLATIONS})",
+                sites - MAX_RECORD_VIOLATIONS
             ),
         ));
     }

@@ -22,45 +22,34 @@
 //!
 //! plus: stores carry no dependence lists at all.
 //!
-//! The rule walks the raw offset/pool arrays with checked indexing and
-//! silently skips images whose cursor bookkeeping is already broken —
-//! `image-bitset` owns (and reports) that failure mode.
+//! The rule runs only on images that pass
+//! [`ReplayImage::validate`](valign_pipeline::ReplayImage::validate) —
+//! broken cursor bookkeeping is `image-structure`'s finding, and without
+//! it the dependence lists cannot be sliced.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::ImageCtx;
-use valign_pipeline::image::flags;
+use valign_pipeline::image::{flags, MAX_RECORD_VIOLATIONS};
 use valign_pipeline::STORE_QUEUE_TRACK;
 
 pub const RULE: &str = "image-deps";
 
-/// Cap on per-site findings; one violation already fails the gate.
-const MAX_SITES: usize = 20;
-
 pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
     let img = ctx.image;
-    let n = img.len();
-    if img.flags().len() != n {
-        return Vec::new(); // image-sidearray reports the truncation
-    }
-    let offsets = img.mem_dep_offsets();
-    let pool = img.mem_deps();
-    let mem_records = img.flags().iter().filter(|&&f| f & flags::MEM != 0).count();
-    // Cursor bookkeeping is image-bitset's finding; without it the
-    // offset/pool slicing below would be meaningless.
-    if offsets.len() != mem_records + 1 {
+    if img.validate().is_err() {
         return Vec::new();
     }
     let total_stores = img
         .flags()
         .iter()
-        .filter(|&&f| f & flags::MEM != 0 && f & flags::STORE != 0)
+        .filter(|&&f| f & flags::STORE != 0)
         .count() as u32;
 
     let mut out = Vec::new();
     let mut sites = 0usize;
     let mut err = |sites: &mut usize, idx: u32, msg: String| {
         *sites += 1;
-        if *sites <= MAX_SITES {
+        if *sites <= MAX_RECORD_VIOLATIONS {
             out.push(ctx.diag(RULE, Severity::Error, Some(idx), msg));
         }
     };
@@ -71,15 +60,8 @@ pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
         if f & flags::MEM == 0 {
             continue;
         }
-        let (Some(&lo), Some(&hi)) = (offsets.get(cursor), offsets.get(cursor + 1)) else {
-            return out; // unreachable given the length check above
-        };
+        let list = img.mem_deps_at(cursor);
         cursor += 1;
-        if lo > hi || hi as usize > pool.len() {
-            // Non-monotone or overlong cursor: image-bitset's finding.
-            continue;
-        }
-        let list = &pool[lo as usize..hi as usize];
         if f & flags::STORE != 0 {
             if !list.is_empty() {
                 err(
@@ -127,14 +109,14 @@ pub fn check(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
             }
         }
     }
-    if sites > MAX_SITES {
+    if sites > MAX_RECORD_VIOLATIONS {
         out.push(ctx.diag(
             RULE,
             Severity::Error,
             None,
             format!(
-                "{} further dependence violation(s) suppressed (cap {MAX_SITES})",
-                sites - MAX_SITES
+                "{} further dependence violation(s) suppressed (cap {MAX_RECORD_VIOLATIONS})",
+                sites - MAX_RECORD_VIOLATIONS
             ),
         ));
     }

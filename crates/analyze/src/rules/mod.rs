@@ -17,10 +17,9 @@ pub mod alignment;
 pub mod conservation;
 pub mod costmodel;
 pub mod defuse;
-pub mod image_bitset;
 pub mod image_dep_oracle;
 pub mod image_deps;
-pub mod image_sidearray;
+pub mod image_structure;
 pub mod latency;
 pub mod memdep;
 pub mod outcome;
@@ -36,10 +35,9 @@ pub const ALL_RULES: &[&str] = &[
     defuse::RULE,
     memdep::RULE,
     latency::RULE,
-    image_bitset::RULE,
+    image_structure::RULE,
     image_deps::RULE,
     image_dep_oracle::RULE,
-    image_sidearray::RULE,
     conservation::RULE,
     outcome::RULE,
     costmodel::RULE,

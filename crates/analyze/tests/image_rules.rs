@@ -5,7 +5,7 @@
 //! images built from every kernel × variant audit with zero diagnostics.
 
 use proptest::prelude::*;
-use valign_analyze::rules::{image_bitset, image_dep_oracle, image_deps, image_sidearray};
+use valign_analyze::rules::{image_dep_oracle, image_deps, image_structure};
 use valign_analyze::{analyze_image, Diagnostic, ImageCtx, Severity};
 use valign_core::workload::{trace_kernel, KernelId};
 use valign_isa::{DynInstr, Gpr, MemKind, MemRef, Opcode, Reg, SrcRef, StaticId, Trace};
@@ -69,11 +69,11 @@ fn clean_synthetic_image_audits_clean() {
 }
 
 #[test]
-fn mask_popcount_lie_is_caught_by_image_bitset() {
+fn mask_popcount_lie_is_caught_by_image_structure() {
     let mut image = ReplayImage::build(&synthetic_trace());
     assert!(image.sabotage_audit(AuditSabotage::MaskPopcountLie));
     let diags = audit(&image);
-    let errs = errors_of(&diags, image_bitset::RULE);
+    let errs = errors_of(&diags, image_structure::RULE);
     assert!(
         errs.iter()
             .any(|d| d.message.contains("memory presence popcount")),
@@ -118,11 +118,11 @@ fn out_of_range_dependence_is_caught_by_image_deps() {
 }
 
 #[test]
-fn truncated_side_array_is_caught_by_image_sidearray() {
+fn truncated_side_array_is_caught_by_image_structure() {
     let mut image = ReplayImage::build(&synthetic_trace());
     assert!(image.sabotage_audit(AuditSabotage::SideArrayTruncate));
     let diags = audit(&image);
-    let errs = errors_of(&diags, image_sidearray::RULE);
+    let errs = errors_of(&diags, image_structure::RULE);
     assert!(
         errs.iter()
             .any(|d| d.message.contains("side array units") && d.message.contains("truncated")),

@@ -950,6 +950,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn json_escaping() {
+        assert_eq!(escape_json(r#"a"b"#), r#"a\"b"#);
+        assert_eq!(escape_json("a\\b"), r"a\\b");
+        assert_eq!(escape_json("a\nb"), r"a\nb");
+        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
+    }
+
+    #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, "{\"type\": \"stats\"}").unwrap();

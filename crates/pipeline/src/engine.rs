@@ -356,10 +356,12 @@ impl Simulator {
         guards: &RunGuards,
     ) -> Result<SimResult, SimError> {
         // Before any column is pinned: a truncated image must be refused,
-        // not sliced.
-        for img in warmup.into_iter().chain([image]) {
-            img.validate()?;
+        // not sliced. A warm-up that is the measured image itself (the
+        // usual warm job) is checked once.
+        if let Some(warm) = warmup.filter(|&w| !std::ptr::eq(w, image)) {
+            warm.validate()?;
         }
+        image.validate()?;
         Self::replay::<_, true>(
             cfg,
             warmup.map(ImageRecords::new),

@@ -45,8 +45,12 @@
 //!   [`ReplayImage::len`]; `mem_addrs`/`mem_bytes` have one entry per set
 //!   bit of `mem_mask`; `branch_taken`/`branch_uncond` one bit per set bit
 //!   of `branch_mask`, in record order;
-//! * flag consistency: `STORE` implies `MEM`; `UNALIGNED` implies `MEM`
-//!   and an unaligned-capable opcode; `DST_VPR` implies `HAS_DST`;
+//! * opcode domains: `units[i]` is the unit of `ops[i]`; `MEM` is set
+//!   exactly on opcodes that touch memory and `STORE` exactly on stores;
+//!   `UNALIGNED` implies `MEM` and an unaligned-capable opcode; `DST_VPR`
+//!   implies `HAS_DST`;
+//! * presence: a record's `MEM`/`BRANCH` flags agree with its bits in
+//!   `mem_mask`/`branch_mask`, and no mask bit sits past the last record;
 //! * `src_defs` slots are the recorded producer indices (`< len`) or
 //!   [`NO_DEF`], in the record's slot order;
 //! * `mem_dep_offsets` has `memory_records() + 1` entries; the `c`-th
@@ -55,16 +59,28 @@
 //!   store count) of exactly the stores a [`crate::lsu`] store-queue scan
 //!   would find overlapping — loads only, within the trailing
 //!   [`STORE_QUEUE_TRACK`]-store window; stores have empty lists.
+//!
+//! [`ReplayImage::violations`] is the one checker of these invariants,
+//! behind both [`ReplayImage::validate`] and the `valign-analyze`
+//! `image-structure` rule. It checks all of them except the content of
+//! the dependence lists, which the guarded replay walk checks
+//! ([`SimError::DepOutOfWindow`]) and the `image-deps` and
+//! `image-dep-oracle` audit rules re-derive.
 
 use crate::hash::WordHash;
 use crate::lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 use crate::result::SimError;
 use std::collections::VecDeque;
-use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace, Unit};
+use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace};
 
 /// Sentinel producer index: the source slot is absent or its producer is
 /// outside the trace.
 pub const NO_DEF: u32 = u32::MAX;
+
+/// Cap on the per-record findings one image check reports
+/// ([`ReplayImage::violations`] and the per-site `valign-analyze` image
+/// rules): structural lies repeat per record, and one is already fatal.
+pub const MAX_RECORD_VIOLATIONS: usize = 20;
 
 /// Per-record flag bits of a [`ReplayImage`].
 pub mod flags {
@@ -180,7 +196,7 @@ pub mod wire {
 pub enum AuditSabotage {
     /// Sets a presence bit on a record that is not a memory record, so the
     /// mask popcount exceeds the compact address/width arrays
-    /// (`image-bitset`).
+    /// (`image-structure`, and so also [`ReplayImage::validate`]).
     MaskPopcountLie,
     /// Rewrites a load's dependence ordinal to a store that executes
     /// *after* the load — a forward (cyclic) dependence (`image-deps`).
@@ -189,7 +205,7 @@ pub enum AuditSabotage {
     /// (`image-deps`).
     DepOutOfRange,
     /// Truncates a dense per-record side array below the record count
-    /// (`image-sidearray`).
+    /// (`image-structure`, and so also [`ReplayImage::validate`]).
     SideArrayTruncate,
 }
 
@@ -524,128 +540,231 @@ impl ReplayImage {
         h.finish()
     }
 
-    /// Checks the structural invariants [`ReplayImage::build`] establishes
-    /// (see the module docs): array lengths against `len`, presence-mask /
-    /// flag / compact-array consistency, dependence-offset monotonicity,
-    /// unit indices in range, and producer indices in bounds.
+    /// Every structural invariant [`ReplayImage::build`] establishes (see
+    /// the module docs) that this image breaks, one
+    /// [`SimError::CorruptImage`] each — empty on a well-formed image. The
+    /// one structural checker: [`ReplayImage::validate`] is its first
+    /// finding, and `valign-analyze`'s `image-structure` rule reports all
+    /// of them.
     ///
-    /// Deliberately *not* checked here: whether dependence ordinals land
-    /// inside the LSU's trailing store window — that is the store ring's
-    /// runtime invariant, enforced by the guarded replay path itself
-    /// ([`SimError::DepOutOfWindow`]), so corruption the static pass
-    /// cannot see is still caught one rung later.
-    pub fn validate(&self) -> Result<(), SimError> {
+    /// Whole-image checks: the five per-record array lengths, mask word
+    /// counts and tail bits, mask popcounts against the compact arrays,
+    /// and the dependence-offset count, monotonicity and end. Per-record
+    /// checks (over the common prefix of the per-record arrays): flags
+    /// against both presence masks; unit, `MEM`/`STORE` and `UNALIGNED`
+    /// against the opcode; `DST_VPR` implies `HAS_DST`; producer indices
+    /// in bounds. Per-record findings stop at [`MAX_RECORD_VIOLATIONS`],
+    /// followed by one summary of how many more there were.
+    ///
+    /// Deliberately *not* checked here: whether dependence ordinals are
+    /// in bounds, backward, and inside the LSU's trailing store window —
+    /// that is the store ring's runtime invariant, enforced by the guarded
+    /// replay path itself ([`SimError::DepOutOfWindow`]), so corruption the
+    /// static pass cannot see is still caught one rung later.
+    pub fn violations(&self) -> Vec<SimError> {
         let n = self.len;
-        let whole = |detail: String| SimError::CorruptImage {
-            index: None,
-            detail,
-        };
-        let per_record: [(&str, usize); 5] = [
+        let corrupt =
+            |index: Option<usize>, detail: String| SimError::CorruptImage { index, detail };
+        let mut out = Vec::new();
+        let lengths: [(&str, usize); 5] = [
             ("ops", self.ops.len()),
             ("units", self.units.len()),
             ("flags", self.flags.len()),
             ("sids", self.sids.len()),
             ("src_defs", self.src_defs.len()),
         ];
-        for (name, len) in per_record {
+        for (name, len) in lengths {
             if len != n {
-                return Err(whole(format!("{name} has {len} entries, expected {n}")));
+                out.push(corrupt(
+                    None,
+                    format!("side array {name} has {len} entries, expected {n} — truncated image"),
+                ));
             }
         }
         let mask_words = n.div_ceil(64).max(1);
-        if self.mem_mask.len() != mask_words || self.branch_mask.len() != mask_words {
-            return Err(whole(format!(
-                "presence masks have {}/{} words, expected {mask_words}",
-                self.mem_mask.len(),
-                self.branch_mask.len()
-            )));
+        let masks_sized = self.mem_mask.len() == mask_words && self.branch_mask.len() == mask_words;
+        if !masks_sized {
+            out.push(corrupt(
+                None,
+                format!(
+                    "presence masks have {}/{} words, expected {mask_words} for {n} records",
+                    self.mem_mask.len(),
+                    self.branch_mask.len()
+                ),
+            ));
         }
-        let tail_clean = |words: &[u64]| {
-            let spare = mask_words * 64 - n;
-            spare == 0 || words[mask_words - 1] >> (64 - spare) == 0
-        };
-        if !tail_clean(&self.mem_mask) || !tail_clean(&self.branch_mask) {
-            return Err(whole("presence mask has bits past the last record".into()));
+        let spare = mask_words * 64 - n;
+        for (name, words) in [("memory", &self.mem_mask), ("branch", &self.branch_mask)] {
+            if masks_sized && spare != 0 && words[mask_words - 1] >> (64 - spare) != 0 {
+                out.push(corrupt(
+                    None,
+                    format!("{name} presence mask has bits past the last record"),
+                ));
+            }
         }
         let popcount = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         let mem_records = popcount(&self.mem_mask);
         if self.mem_addrs.len() != mem_records || self.mem_bytes.len() != mem_records {
-            return Err(whole(format!(
-                "{mem_records} memory records but {}/{} compact address/width entries",
-                self.mem_addrs.len(),
-                self.mem_bytes.len()
-            )));
+            out.push(corrupt(
+                None,
+                format!(
+                    "memory presence popcount is {mem_records} but the compact arrays hold \
+                     {} addresses / {} widths",
+                    self.mem_addrs.len(),
+                    self.mem_bytes.len()
+                ),
+            ));
         }
         let branches = popcount(&self.branch_mask);
         let branch_words = branches.div_ceil(64);
         if self.branch_taken.len() != branch_words || self.branch_uncond.len() != branch_words {
-            return Err(whole(format!(
-                "{branches} branch records but {}/{} outcome words",
-                self.branch_taken.len(),
-                self.branch_uncond.len()
-            )));
+            out.push(corrupt(
+                None,
+                format!(
+                    "branch presence popcount is {branches} ({branch_words} outcome words) but \
+                     {}/{} taken/unconditional words are stored",
+                    self.branch_taken.len(),
+                    self.branch_uncond.len()
+                ),
+            ));
         }
-        if self.mem_dep_offsets.len() != mem_records + 1 {
-            return Err(whole(format!(
-                "{} dependence offsets for {mem_records} memory records",
-                self.mem_dep_offsets.len()
-            )));
+        let offsets = &self.mem_dep_offsets;
+        let deps = self.mem_deps.len();
+        if offsets.len() != mem_records + 1 {
+            out.push(corrupt(
+                None,
+                format!(
+                    "{} dependence offsets for {mem_records} memory records (want {})",
+                    offsets.len(),
+                    mem_records + 1
+                ),
+            ));
+        } else if let Some(c) = (0..offsets.len())
+            .find(|&c| offsets[c] as usize > deps || (c > 0 && offsets[c] < offsets[c - 1]))
+        {
+            let prev = if c > 0 { offsets[c - 1] } else { 0 };
+            out.push(corrupt(
+                None,
+                format!(
+                    "dependence offset {} at cursor {c} breaks monotonicity \
+                     (prev {prev}, {deps} deps stored)",
+                    offsets[c]
+                ),
+            ));
+        } else if offsets[mem_records] as usize != deps {
+            out.push(corrupt(
+                None,
+                format!(
+                    "dependence offsets end at {}, but {deps} deps are stored",
+                    offsets[mem_records]
+                ),
+            ));
         }
-        let mut prev = 0u32;
-        for (c, &off) in self.mem_dep_offsets.iter().enumerate() {
-            if off < prev || off as usize > self.mem_deps.len() {
-                return Err(whole(format!(
-                    "dependence offset {off} at cursor {c} breaks monotonicity \
-                     (prev {prev}, {} deps)",
-                    self.mem_deps.len()
-                )));
+
+        // Per-opcode expectations, resolved once rather than per record:
+        // (unit index, MEM/STORE bits, unaligned-capable).
+        let expect: [(u8, u8, bool); Opcode::COUNT] = std::array::from_fn(|i| {
+            let op = Opcode::ALL[i];
+            let mut mem_bits = 0;
+            if op.touches_memory() {
+                mem_bits |= flags::MEM;
             }
-            prev = off;
-        }
-        if prev as usize != self.mem_deps.len() {
-            return Err(whole(format!(
-                "dependence offsets end at {prev}, but {} deps are stored",
-                self.mem_deps.len()
-            )));
-        }
-        for idx in 0..n {
-            let f = self.flags[idx];
-            let record = |detail: String| SimError::CorruptImage {
-                index: Some(idx),
-                detail,
-            };
-            if (f & flags::MEM != 0) != get_bit(&self.mem_mask, idx) {
-                return Err(record("MEM flag disagrees with the presence mask".into()));
+            if op.is_store() {
+                mem_bits |= flags::STORE;
             }
-            if (f & flags::BRANCH != 0) != get_bit(&self.branch_mask, idx) {
-                return Err(record(
-                    "BRANCH flag disagrees with the presence mask".into(),
-                ));
+            (op.unit().index() as u8, mem_bits, op.is_unaligned_capable())
+        });
+        let records = lengths.iter().fold(n, |m, &(_, len)| m.min(len));
+        let mut sites = 0usize;
+        let mut record = |idx: usize, detail: String| {
+            sites += 1;
+            if sites <= MAX_RECORD_VIOLATIONS {
+                out.push(corrupt(Some(idx), detail));
             }
-            if f & flags::STORE != 0 && f & flags::MEM == 0 {
-                return Err(record("STORE without MEM".into()));
+        };
+        for idx in 0..records {
+            let (op, unit, f) = (self.ops[idx], self.units[idx], self.flags[idx]);
+            let (want_unit, want_mem, unaligned_ok) = expect[op.index()];
+            if masks_sized {
+                if (f & flags::MEM != 0) != get_bit(&self.mem_mask, idx) {
+                    record(idx, "MEM flag disagrees with the presence mask".into());
+                }
+                if (f & flags::BRANCH != 0) != get_bit(&self.branch_mask, idx) {
+                    record(idx, "BRANCH flag disagrees with the presence mask".into());
+                }
             }
-            if f & flags::UNALIGNED != 0 && f & flags::MEM == 0 {
-                return Err(record("UNALIGNED without MEM".into()));
+            if unit != want_unit {
+                record(
+                    idx,
+                    format!(
+                        "cached unit index {unit} but opcode {} executes on unit {want_unit}",
+                        op.mnemonic()
+                    ),
+                );
+            }
+            let mem = f & flags::MEM != 0;
+            if mem != (want_mem & flags::MEM != 0) {
+                let touches = if mem { "does not touch" } else { "touches" };
+                record(
+                    idx,
+                    format!(
+                        "MEM flag is {mem} but opcode {} {touches} memory",
+                        op.mnemonic()
+                    ),
+                );
+            }
+            let store = f & flags::STORE != 0;
+            if store && !mem {
+                record(idx, "STORE without MEM".into());
+            } else if mem && store != (want_mem & flags::STORE != 0) {
+                let kind = if store { "load" } else { "store" };
+                record(
+                    idx,
+                    format!(
+                        "STORE flag is {store} but opcode {} is a {kind}",
+                        op.mnemonic()
+                    ),
+                );
+            }
+            if f & flags::UNALIGNED != 0 {
+                if !mem {
+                    record(idx, "UNALIGNED without MEM".into());
+                } else if !unaligned_ok {
+                    record(
+                        idx,
+                        format!(
+                            "UNALIGNED flag on opcode {}, which always truncates its EA",
+                            op.mnemonic()
+                        ),
+                    );
+                }
             }
             if f & flags::DST_VPR != 0 && f & flags::HAS_DST == 0 {
-                return Err(record("DST_VPR without HAS_DST".into()));
-            }
-            if usize::from(self.units[idx]) >= Unit::COUNT {
-                return Err(record(format!(
-                    "unit index {} out of range",
-                    self.units[idx]
-                )));
+                record(idx, "DST_VPR without HAS_DST".into());
             }
             for &def in &self.src_defs[idx] {
                 if def != NO_DEF && def as usize >= n {
-                    return Err(record(format!(
-                        "producer {def} out of bounds ({n} records)"
-                    )));
+                    record(idx, format!("producer {def} out of bounds ({n} records)"));
                 }
             }
         }
-        Ok(())
+        if sites > MAX_RECORD_VIOLATIONS {
+            out.push(corrupt(
+                None,
+                format!(
+                    "{} further per-record violation(s) suppressed (cap {MAX_RECORD_VIOLATIONS})",
+                    sites - MAX_RECORD_VIOLATIONS
+                ),
+            ));
+        }
+        out
+    }
+
+    /// The first of [`ReplayImage::violations`], or `Ok` on a well-formed
+    /// image — the static rung of the integrity ladder, run by the
+    /// supervised replay path and the store's decode path.
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Deterministically corrupts the image for fault injection — the
@@ -947,46 +1066,13 @@ impl ReplayImage {
         &self.mem_bytes
     }
 
-    /// Memory-presence bitset words (one bit per record).
-    pub fn mem_mask_words(&self) -> &[u64] {
-        &self.mem_mask
-    }
-
-    /// Branch-presence bitset words (one bit per record).
-    pub fn branch_mask_words(&self) -> &[u64] {
-        &self.branch_mask
-    }
-
-    /// Taken bitset words over branch ordinals.
-    pub fn branch_taken_words(&self) -> &[u64] {
-        &self.branch_taken
-    }
-
-    /// Unconditional bitset words over branch ordinals.
-    pub fn branch_uncond_words(&self) -> &[u64] {
-        &self.branch_uncond
-    }
-
-    /// Cumulative dependence offsets: `memory_records() + 1` entries on a
-    /// well-formed image. Audit rules read this raw (with checked
-    /// indexing) rather than through [`ReplayImage::mem_deps_at`], which
-    /// assumes the cursors are already trusted.
-    pub fn mem_dep_offsets(&self) -> &[u32] {
-        &self.mem_dep_offsets
-    }
-
-    /// The flat store-to-load dependence ordinal pool the offsets cut.
-    pub fn mem_deps(&self) -> &[u32] {
-        &self.mem_deps
-    }
-
     /// Pre-resolved store-to-load dependences of the `cursor`-th memory
     /// record: ordinals of the overlapping recent stores (empty for
     /// stores and dependence-free loads).
     ///
-    /// Panics when the offset table is corrupt; callers that have not yet
-    /// validated the image should slice [`ReplayImage::mem_dep_offsets`]
-    /// with checked indexing instead.
+    /// Panics when the offset table is corrupt; an image that did not come
+    /// straight from [`ReplayImage::build`] must pass
+    /// [`ReplayImage::validate`] first.
     pub fn mem_deps_at(&self, cursor: usize) -> &[u32] {
         let lo = self.mem_dep_offsets[cursor] as usize;
         let hi = self.mem_dep_offsets[cursor + 1] as usize;
@@ -1030,7 +1116,7 @@ pub(crate) fn src_defs_of(instr: &DynInstr) -> [u32; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valign_isa::{BranchInfo, Gpr, MemRef, SrcRef, Vpr};
+    use valign_isa::{BranchInfo, Gpr, MemRef, SrcRef, Unit, Vpr};
 
     fn sid(n: u32) -> StaticId {
         StaticId(n)
@@ -1426,6 +1512,53 @@ mod tests {
         let mut img = ReplayImage::build(&t);
         img.mem_mask[0] |= 1 << 63; // presence bit past the last record
         assert!(img.validate().is_err());
+        // Opcode-domain lies: each in range, each caught at its record.
+        let at = |img: &ReplayImage| match img.validate() {
+            Err(SimError::CorruptImage { index, .. }) => index,
+            other => panic!("expected a per-record violation, got {other:?}"),
+        };
+        let mut img = ReplayImage::build(&t);
+        img.units[0] = Unit::Ls.index() as u8; // li on the load/store pool
+        assert_eq!(at(&img), Some(0));
+        let mut img = ReplayImage::build(&t);
+        img.flags[1] |= flags::STORE; // STORE on the lvxu load
+        assert_eq!(at(&img), Some(1));
+        let mut img = ReplayImage::build(&t);
+        img.ops[1] = Opcode::Lvx; // UNALIGNED left on an lvx
+        assert_eq!(at(&img), Some(1));
+    }
+
+    #[test]
+    fn violations_lists_every_break() {
+        let t = sample_trace();
+        let mut img = ReplayImage::build(&t);
+        img.units[0] = Unit::Ls.index() as u8;
+        img.src_defs[2][0] = img.len as u32 + 5;
+        let found: Vec<Option<usize>> = img
+            .violations()
+            .into_iter()
+            .map(|v| match v {
+                SimError::CorruptImage { index, .. } => index,
+                other => panic!("unexpected {other}"),
+            })
+            .collect();
+        assert_eq!(found, [Some(0), Some(2)], "both breaks, in record order");
+
+        // Per-record findings stop at the cap, then one summary.
+        let mut t = Trace::new();
+        for i in 0..(MAX_RECORD_VIOLATIONS as u32 + 7) {
+            t.push(DynInstr::alu(Opcode::Li, sid(i), None, &[]));
+        }
+        let mut img = ReplayImage::build(&t);
+        img.units.fill(Unit::Ls.index() as u8);
+        let all = img.violations();
+        assert_eq!(all.len(), MAX_RECORD_VIOLATIONS + 1);
+        assert!(
+            matches!(&all[MAX_RECORD_VIOLATIONS], SimError::CorruptImage { index: None, detail }
+                if detail.starts_with("7 further")),
+            "{:?}",
+            all.last()
+        );
     }
 
     #[test]
