@@ -15,7 +15,9 @@
 //! | `fig10` | Fig. 10 — whole-decoder stage profile |
 //! | `ablations` | design-choice ablations (banking, MSHRs, predictor) |
 //! | `micro` | criterion micro-benchmarks of the simulator stack |
-//! | `replay` | replay throughput: packed image vs reference walker |
+//!
+//! End-to-end and per-layer timing (replay, image build and verify,
+//! store decode) is perfbench's job: `python3 perfbench/run.py`.
 //!
 //! Set `VALIGN_EXECS` to scale the traced kernel executions (fidelity vs
 //! runtime); the defaults keep a full `cargo bench` run in minutes.

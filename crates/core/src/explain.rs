@@ -7,8 +7,8 @@
 //! overhead vs pipeline width vs memory behaviour). The conservation invariant — attributed buckets sum
 //! **exactly** to total cycles — is checked per configuration and turned
 //! into a diagnostic [`ExperimentError`] rather than a panic; the JSON
-//! form carries an explicit `"conserved"` flag the perf-smoke CI job
-//! greps.
+//! form carries an explicit `"conserved"` flag the replay-equivalence CI
+//! job greps.
 
 use crate::experiments::ExperimentError;
 use crate::sim::{SimContext, SimJob, TraceKey};

@@ -22,9 +22,6 @@
 //! * [`explain`] — the `valign explain` cycle-attribution report: one
 //!   kernel/variant replayed across Table II with every cycle charged to a
 //!   stall bucket and the conservation invariant checked.
-//! * [`replay_bench`] — the replay-throughput harness comparing the
-//!   packed [`ReplayImage`](valign_pipeline::ReplayImage) hot path against
-//!   the record-form reference walker (`valign bench-replay`).
 //! * [`faults`] / [`supervise`] — deterministic fault injection and the
 //!   supervised batch executor: per-job panic isolation, integrity-checked
 //!   replay images, a cycle-budget watchdog, bounded retries, quarantine,
@@ -56,7 +53,6 @@
 pub mod experiments;
 pub mod explain;
 pub mod faults;
-pub mod replay_bench;
 pub mod serve;
 pub mod sim;
 pub mod store_ops;

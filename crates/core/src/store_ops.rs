@@ -5,8 +5,8 @@
 //!
 //! Packing is the cold half of the warm-start story: run it once (or in a
 //! CI cache step) and every later `valign run --store-dir` or
-//! `valign bench-replay --store-dir` starts from verified disk images
-//! instead of re-tracing and re-compiling the matrix.
+//! `valign all --store-dir` starts from verified disk images instead of
+//! re-tracing and re-compiling the matrix.
 
 use crate::sim::{ImageProvenance, TraceKey, TraceStore};
 use crate::workload::KernelId;

@@ -6,7 +6,6 @@
 //! valign explain --kernel K --variant V [--json] [--execs N] [--seed S] [--threads T]
 //! valign lint [--json] [--kernel K --variant V | --all] [--execs N] [--seed S] [--store-dir DIR]
 //! valign audit [--store-dir DIR] [--json] [--execs N] [--seed S]
-//! valign bench-replay [--quick] [--execs N] [--seed S] [--repeats R] [--out PATH] [--store-dir DIR]
 //! valign pack --store-dir DIR [--execs N] [--seed S] [--threads T]
 //! valign verify-image --store-dir DIR
 //! valign serve [--addr HOST:PORT] [--threads T] [--queue-cap N] [--quota N] [--max-budget CYC] [--io-timeout-ms MS] [--inject CLASS:SELECTOR]... [--store-dir DIR]
@@ -28,8 +27,8 @@
 //! configurations and prints the cycle-attribution report: every replay
 //! cycle charged to exactly one stall bucket, with the conservation
 //! invariant (buckets sum to total cycles) checked per configuration.
-//! `--json` emits the machine-readable form the perf-smoke CI job greps
-//! for `"conserved":true`.
+//! `--json` emits the machine-readable form the replay-equivalence CI job
+//! greps for `"conserved":true`.
 //!
 //! `run` replays the full kernel × variant × Table II batch and prints one
 //! row per job. With `--supervised` the batch goes through the
@@ -59,14 +58,6 @@
 //! bounds), printing one `costmodel-soundness: pass` line per pair for
 //! CI to count.
 //!
-//! `bench-replay` measures replay throughput of the packed replay-image
-//! hot path against the record-form reference walker over the full
-//! fig8-style batch, asserts the two produce bit-identical results, and
-//! writes the JSON artifact (default `BENCH_replay.json`). `--quick`
-//! drops to a small batch for CI smoke runs. With `--store-dir` the
-//! cold-vs-warm store comparison packs into (and reuses) that directory
-//! instead of an ephemeral one.
-//!
 //! `serve` starts the long-running simulation daemon: a socket protocol
 //! of length-prefixed JSON frames feeding a priority job queue into the
 //! supervised executor, with admission control against the cycle-budget
@@ -87,7 +78,7 @@
 //! `pack` pre-populates a persistent store directory with the packed
 //! replay image of every kernel × variant of the standard matrix —
 //! already-present verified files are reused, corrupt ones evicted and
-//! rebuilt — so later `run`/`bench-replay` invocations with the same
+//! rebuilt — so later `run`/`lint`/`all` invocations with the same
 //! `--store-dir` warm-start off disk instead of re-tracing. `verify-image`
 //! walks such a directory and climbs the full integrity ladder for every
 //! file, printing one OK/INVALID verdict per file; it exits 1 if anything
@@ -101,7 +92,7 @@ use valign::cache::RealignConfig;
 use valign::core::experiments::{fig10, fig4, fig8, fig9, table1, table2, table3, ExperimentError};
 use valign::core::workload::KernelId;
 use valign::core::SimContext;
-use valign::core::{explain, replay_bench, serve, store_ops};
+use valign::core::{explain, serve, store_ops};
 use valign::core::{FaultSet, JobOutcome, SimJob, SupervisedRunner, TraceKey, TraceStore};
 use valign::kernels::util::Variant;
 use valign::pipeline::PipelineConfig;
@@ -114,9 +105,6 @@ struct Options {
     json: bool,
     kernel: Option<String>,
     variant: Option<String>,
-    repeats: usize,
-    quick: bool,
-    out: Option<String>,
     supervised: bool,
     inject: Vec<String>,
     store_dir: Option<String>,
@@ -144,9 +132,6 @@ fn parse_args() -> (String, Options) {
         json: false,
         kernel: None,
         variant: None,
-        repeats: 5,
-        quick: false,
-        out: None,
         supervised: false,
         inject: Vec::new(),
         store_dir: None,
@@ -166,7 +151,6 @@ fn parse_args() -> (String, Options) {
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--json" => opts.json = true,
-            "--quick" => opts.quick = true,
             "--supervised" => opts.supervised = true,
             "--local" => opts.local = true,
             "--stats" => opts.stats = true,
@@ -236,24 +220,11 @@ fn parse_args() -> (String, Options) {
                         .unwrap_or_else(|| usage("--inject needs a value")),
                 );
             }
-            "--out" => {
-                opts.out = Some(args.next().unwrap_or_else(|| usage("--out needs a value")));
-            }
             "--store-dir" => {
                 opts.store_dir = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--store-dir needs a value")),
                 );
-            }
-            "--repeats" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--repeats needs a value"));
-                opts.repeats = v
-                    .parse()
-                    .ok()
-                    .filter(|&r| r > 0)
-                    .unwrap_or_else(|| usage("--repeats must be a positive number"));
             }
             "--all" => {
                 opts.kernel = None;
@@ -313,8 +284,6 @@ fn usage(err: &str) -> ! {
          valign lint [--json] [--kernel K --variant V | --all] \
          [--execs N] [--seed S] [--store-dir DIR]\n       \
          valign audit [--store-dir DIR] [--json] [--execs N] [--seed S]\n       \
-         valign bench-replay [--quick] [--execs N] [--seed S] \
-         [--repeats R] [--out PATH] [--store-dir DIR]\n       \
          valign pack --store-dir DIR [--execs N] [--seed S] [--threads T]\n       \
          valign verify-image --store-dir DIR\n       \
          valign serve [--addr HOST:PORT] [--threads T] [--queue-cap N] \
@@ -337,56 +306,6 @@ fn or_die<T>(result: Result<T, ExperimentError>) -> T {
         eprintln!("error: {e}");
         std::process::exit(1);
     })
-}
-
-/// Runs `valign bench-replay`: the replay-throughput comparison. Exits 1
-/// if the packed and reference paths ever diverge. Besides the artifact
-/// itself, every non-quick run *appends* one summary line to the
-/// trajectory file next to it (`BENCH_trajectory.jsonl`), so the speedup
-/// history accumulates instead of being overwritten.
-fn run_bench_replay(o: &Options) -> ! {
-    let (execs, repeats) = if o.quick {
-        (o.execs.clamp(2, 20), 1)
-    } else {
-        (o.execs.max(2), o.repeats)
-    };
-    let bench = replay_bench::run(
-        execs,
-        o.seed,
-        repeats,
-        o.store_dir.as_deref().map(std::path::Path::new),
-    );
-    print!("{}", bench.render());
-    let path = o.out.as_deref().unwrap_or("BENCH_replay.json");
-    if let Err(e) = std::fs::write(path, bench.render_json()) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {path}");
-    if !o.quick {
-        let traj = std::path::Path::new(path).parent().map_or_else(
-            || std::path::PathBuf::from("BENCH_trajectory.jsonl"),
-            |d| d.join("BENCH_trajectory.jsonl"),
-        );
-        let line = bench.trajectory_line("bench-replay run");
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&traj)
-            .and_then(|mut f| {
-                use std::io::Write as _;
-                writeln!(f, "{line}")
-            });
-        match appended {
-            Ok(()) => println!("appended {}", traj.display()),
-            Err(e) => eprintln!("warning: cannot append {}: {e}", traj.display()),
-        }
-    }
-    if !bench.bit_identical {
-        eprintln!("error: packed-image replay diverged from the reference walker");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 /// Runs `valign pack`: pre-populates `--store-dir` with the packed image
@@ -821,9 +740,6 @@ fn run_one(ctx: &SimContext, cmd: &str, o: &Options) {
 
 fn main() {
     let (cmd, opts) = parse_args();
-    if cmd == "bench-replay" {
-        run_bench_replay(&opts);
-    }
     if cmd == "pack" {
         run_pack(&opts);
     }

@@ -2,12 +2,13 @@
 //! engine: for every kernel/variant workload trace and every Table II
 //! configuration, replaying the image — unguarded and guarded — produces a
 //! `SimResult` bit-identical to the record-form reference path, cold,
-//! warm, and with a realignment penalty.
+//! warm, and with a realignment penalty — and the realign bucket stays
+//! inside the static cost model's ceiling.
 
 use valign::cache::RealignConfig;
 use valign::core::workload::{trace_kernel, KernelId};
 use valign::kernels::util::Variant;
-use valign::pipeline::{PipelineConfig, ReplayImage, RunGuards, Simulator};
+use valign::pipeline::{costmodel, Bucket, PipelineConfig, ReplayImage, RunGuards, Simulator};
 
 const EXECS: usize = 8;
 const SEED: u64 = 20070425;
@@ -18,9 +19,13 @@ const SEED: u64 = 20070425;
 /// persistent cache/predictor state evolves identically under every
 /// walk). The stall attribution is held to the same standard explicitly:
 /// the paths charge every cycle to the same bucket, and the buckets sum
-/// exactly to the cycle count.
+/// exactly to the cycle count. The realign bucket never exceeds the cost
+/// model's static ceiling, and is empty when unaligned accesses cost no
+/// more than aligned ones.
 fn assert_equivalent(cfg: &PipelineConfig, trace: &valign::isa::Trace, label: &str) {
     let image = ReplayImage::build(trace).into_shared();
+    let realign_hi = costmodel::bounds(&image, cfg).realign_hi;
+    let equal_latency = cfg.realign == RealignConfig::equal_latency();
     for warm in [false, true] {
         let pass = if warm { "warm" } else { "cold" };
         let r = Simulator::simulate_reference(cfg.clone(), warm.then_some(trace), trace);
@@ -49,6 +54,17 @@ fn assert_equivalent(cfg: &PipelineConfig, trace: &valign::isa::Trace, label: &s
             cfg.name,
             r.breakdown.total(),
             r.cycles
+        );
+        let realign = r.breakdown.get(Bucket::Realign);
+        assert!(
+            realign <= realign_hi,
+            "{label} [{}] {pass}: {realign} realign cycles above the static ceiling {realign_hi}",
+            cfg.name
+        );
+        assert!(
+            !equal_latency || realign == 0,
+            "{label} [{}] {pass}: {realign} realign cycles at equal latency",
+            cfg.name
         );
     }
 }
