@@ -100,10 +100,10 @@ pub fn execs_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Replays `trace` on `cfg` after a warm-up replay (steady-state caches
-/// and predictor, as a steadily decoding application would see).
-/// The trace is compiled to a [`ReplayImage`] once and both replays walk
-/// it.
+/// Replays `trace` on `cfg` after a warm-up (steady-state caches and
+/// predictor, as a steadily decoding application would see). The trace
+/// is compiled to a [`ReplayImage`] once; the warm-up and the measured
+/// replay both read it.
 pub fn measure(cfg: PipelineConfig, trace: &Trace) -> SimResult {
     let image = ReplayImage::build(trace);
     Simulator::simulate_image(cfg, Some(&image), &image)

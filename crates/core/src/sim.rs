@@ -502,7 +502,8 @@ pub struct SimJob {
     pub source: TraceSource,
     /// The machine configuration (including realignment latencies).
     pub cfg: PipelineConfig,
-    /// Precede the measured replay with a warm-up replay (steady state).
+    /// Warm the caches and predictor on the same stream before the
+    /// measured replay (steady state).
     pub warm: bool,
     /// Deterministic fault to inject into this job, if any. Plans are
     /// normally resolved per job by the supervisor from a

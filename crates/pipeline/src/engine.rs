@@ -22,18 +22,23 @@
 //! (the hot path, [`Simulator::simulate_image`]) and the record-form
 //! [`Trace`] it was compiled from (the reference path,
 //! [`Simulator::simulate_reference`] — the oracle for
-//! [`ReplayImage::build`], the target a distrusted image degrades to, and
-//! the replay bench's baseline). The sources differ only in how a record
-//! is decoded and in how a load finds the stores it depends on.
+//! [`ReplayImage::build`] and the target a distrusted image degrades to).
+//! The sources differ only in how a record is decoded and in how a load
+//! finds the stores it depends on.
 //!
 //! This is the same modelling level as the paper's trace-driven
 //! methodology: timing is derived entirely from the dynamic stream, while
 //! functional values were already resolved by the emulator.
 //!
 //! Each entry point replays on a fresh machine (cold caches and
-//! predictor), optionally warmed by a first replay, and only reads the
-//! image or trace — so one shared image can be replayed concurrently by
-//! many jobs, the property the batch executor in `valign-core` relies on.
+//! predictor), optionally warmed first, and only reads the image or
+//! trace — so one shared image can be replayed concurrently by many jobs,
+//! the property the batch executor in `valign-core` relies on. The
+//! warm-up buys microarchitectural state and nothing else: the image
+//! paths warm *functionally* (`Simulator::warm`), touching the I-cache,
+//! the D-L1/L2 hierarchy and the branch predictor in program order with no
+//! timing at all, while the reference path keeps the timed warm-up walk
+//! and so remains the oracle for the functional one.
 
 use crate::attribution::{Bucket, Timeline};
 use crate::backend::{Backend, Ready};
@@ -48,9 +53,11 @@ use valign_cache::{CacheConfig, Hierarchy, SetAssocCache};
 use valign_isa::{DynInstr, MemKind, Opcode, StaticId, Trace};
 
 /// Integrity guards applied by the checked replay path
-/// ([`Simulator::try_simulate_image`]). Both guards are expressed in
-/// simulated cycles / record indices — never wall-clock — so a guarded
-/// replay is as deterministic as an unguarded one.
+/// ([`Simulator::try_simulate_image`]) to the measured walk; the
+/// functional warm-up computes no cycles, so there is nothing to guard.
+/// Both guards are expressed in simulated cycles / record indices — never
+/// wall-clock — so a guarded replay is as deterministic as an unguarded
+/// one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunGuards {
     /// Watchdog deadline: abort with [`SimError::BudgetExceeded`] as soon
@@ -141,10 +148,23 @@ struct Record {
     is_branch: bool,
 }
 
-/// A record source for [`Simulator::walk`]. The walk calls `record` for
-/// every index exactly once, in increasing order, then `mem_access` once
-/// if the record accesses memory and `branch_outcome` once if it is a
-/// branch — so a source may keep running cursors.
+/// What one record does to the machine state that outlives a replay —
+/// the I-cache, the D-L1/L2 [`Hierarchy`] and the [`BranchPredictor`]:
+/// the functional warm-up's whole view of a record.
+struct Touch {
+    sid: StaticId,
+    /// `(addr, bytes, kind)` of a memory record.
+    mem: Option<(u64, u8, MemKind)>,
+    /// `(taken, unconditional)` of a branch.
+    branch: Option<(bool, bool)>,
+}
+
+/// A record source for [`Simulator::walk`] and [`Simulator::warm`]. The
+/// walk calls `record` for every index exactly once, in increasing order,
+/// then `mem_access` once if the record accesses memory and
+/// `branch_outcome` once if it is a branch; the warm-up calls `touch`
+/// instead, for every index in increasing order — so a source may keep
+/// running cursors.
 ///
 /// `record` is `#[inline(always)]` in both sources: left to the inliner
 /// it can be outlined, and returning the `Record` through memory cost
@@ -158,6 +178,8 @@ trait Records {
     fn mem_access(&mut self, idx: usize) -> MemAccess<'_>;
     /// `(taken, unconditional)` of branch record `idx`.
     fn branch_outcome(&mut self, idx: usize) -> (bool, bool);
+    /// The state record `idx` touches, without its timing inputs.
+    fn touch(&mut self, idx: usize) -> Touch;
 }
 
 /// The record-form source: the AoS [`DynInstr`] array, decoded per
@@ -200,6 +222,16 @@ impl Records for &[DynInstr] {
         let b = self[idx].branch.expect("asked only for branch records");
         (b.taken, b.unconditional)
     }
+
+    #[inline]
+    fn touch(&mut self, idx: usize) -> Touch {
+        let instr = &self[idx];
+        Touch {
+            sid: instr.sid,
+            mem: instr.mem.map(|m| (m.addr, m.bytes, m.kind)),
+            branch: instr.branch.map(|b| (b.taken, b.unconditional)),
+        }
+    }
 }
 
 /// The packed source: a [`ReplayImage`]'s columns plus running cursors
@@ -234,6 +266,16 @@ impl<'a> ImageRecords<'a> {
             branch_cursor: 0,
         }
     }
+
+    /// Address, width and kind of the next memory record, whose flag byte
+    /// is `f`; advances the memory cursor. Leaves the dependence lists
+    /// alone, which only the timed walk reads.
+    #[inline]
+    fn next_mem(&mut self, f: u8) -> (u64, u8, MemKind) {
+        let c = self.mem_cursor;
+        self.mem_cursor += 1;
+        (self.mem_addrs[c], self.mem_bytes[c], mem_kind_of(f))
+    }
 }
 
 impl Records for ImageRecords<'_> {
@@ -263,11 +305,11 @@ impl Records for ImageRecords<'_> {
     fn mem_access(&mut self, idx: usize) -> MemAccess<'_> {
         let f = self.flags[idx];
         let c = self.mem_cursor;
-        self.mem_cursor += 1;
+        let (addr, bytes, kind) = self.next_mem(f);
         MemAccess {
-            addr: self.mem_addrs[c],
-            bytes: self.mem_bytes[c],
-            kind: mem_kind_of(f),
+            addr,
+            bytes,
+            kind,
             unaligned: f & flags::UNALIGNED != 0,
             deps: Some(self.image.mem_deps_at(c)),
         }
@@ -281,6 +323,17 @@ impl Records for ImageRecords<'_> {
             self.image.branch_taken_bit(b),
             self.image.branch_uncond_bit(b),
         )
+    }
+
+    #[inline]
+    fn touch(&mut self, idx: usize) -> Touch {
+        let n = self.flags.len();
+        let f = self.flags[idx];
+        Touch {
+            sid: self.sids[..n][idx],
+            mem: (f & flags::MEM != 0).then(|| self.next_mem(f)),
+            branch: (f & flags::BRANCH != 0).then(|| self.branch_outcome(idx)),
+        }
     }
 }
 
@@ -317,9 +370,9 @@ impl Simulator {
     }
 
     /// Simulates a prebuilt [`ReplayImage`] on a fresh machine with `cfg`,
-    /// optionally preceded by a warm-up replay of `warmup` — the engine's
-    /// hot path. Microarchitectural state (caches, predictor) carries from
-    /// the warm-up into the measured replay, which models steady state.
+    /// optionally warmed on `warmup` first — the engine's hot path.
+    /// Microarchitectural state (caches, predictor) carries from the
+    /// warm-up into the measured replay, which models steady state.
     /// Bit-identical to [`Simulator::simulate_reference`] on the images'
     /// source traces.
     ///
@@ -333,22 +386,17 @@ impl Simulator {
         warmup: Option<&ReplayImage>,
         image: &ReplayImage,
     ) -> SimResult {
-        Self::replay::<_, false>(
-            cfg,
-            warmup.map(ImageRecords::new),
-            ImageRecords::new(image),
-            &RunGuards::default(),
-        )
-        .unwrap_or_else(|e| panic!("replay failed: {e}"))
+        Self::warmed(cfg, warmup)
+            .walk::<_, false>(ImageRecords::new(image), &RunGuards::default())
+            .unwrap_or_else(|e| panic!("replay failed: {e}"))
     }
 
     /// The checked counterpart of [`Simulator::simulate_image`]: validates
     /// both images up front, bounds-checks the dependence walk, applies
     /// the [`RunGuards`] (cycle-budget watchdog, injected stall) to the
-    /// warm-up and the measured replay alike, and returns the first
-    /// structured [`SimError`] instead of panicking. On a well-formed
-    /// image with default guards the result is bit-identical to
-    /// [`Simulator::simulate_image`].
+    /// measured replay, and returns the first structured [`SimError`]
+    /// instead of panicking. On a well-formed image with default guards
+    /// the result is bit-identical to [`Simulator::simulate_image`].
     pub fn try_simulate_image(
         cfg: PipelineConfig,
         warmup: Option<&ReplayImage>,
@@ -356,25 +404,22 @@ impl Simulator {
         guards: &RunGuards,
     ) -> Result<SimResult, SimError> {
         // Before any column is pinned: a truncated image must be refused,
-        // not sliced. A warm-up that is the measured image itself (the
-        // usual warm job) is checked once.
+        // not sliced — the warm-up indexes its columns too. A warm-up that
+        // is the measured image itself (the usual warm job) is checked
+        // once.
         if let Some(warm) = warmup.filter(|&w| !std::ptr::eq(w, image)) {
             warm.validate()?;
         }
         image.validate()?;
-        Self::replay::<_, true>(
-            cfg,
-            warmup.map(ImageRecords::new),
-            ImageRecords::new(image),
-            guards,
-        )
+        Self::warmed(cfg, warmup).walk::<_, true>(ImageRecords::new(image), guards)
     }
 
     /// Simulates `trace` record by record, straight off the AoS
-    /// [`DynInstr`] array, with the same warm-up discipline as
-    /// [`Simulator::simulate_image`] — the reference path the packed
-    /// image is equivalence-tested and benchmarked against, and the one a
-    /// distrusted image degrades to (it shares no bytes with the image).
+    /// [`DynInstr`] array, optionally after a *timed* warm-up walk of
+    /// `warmup` — the reference path the packed image is
+    /// equivalence-tested against, and the one a distrusted image degrades
+    /// to (it shares no bytes with the image). Its warm-up is the oracle
+    /// for the image paths' functional one.
     ///
     /// # Panics
     ///
@@ -384,28 +429,47 @@ impl Simulator {
         warmup: Option<&Trace>,
         trace: &Trace,
     ) -> SimResult {
-        Self::replay::<_, false>(
-            cfg,
-            warmup.map(Trace::instrs),
-            trace.instrs(),
-            &RunGuards::default(),
-        )
-        .unwrap_or_else(|e| panic!("reference replay failed: {e}"))
+        let guards = RunGuards::default();
+        let mut sim = Simulator::new(cfg);
+        let mut walk = |records: &[DynInstr]| {
+            sim.walk::<_, false>(records, &guards)
+                .unwrap_or_else(|e| panic!("reference replay failed: {e}"))
+        };
+        if let Some(w) = warmup {
+            walk(w.instrs());
+        }
+        walk(trace.instrs())
     }
 
-    /// Warm-then-measure on a fresh machine: the shape of all three entry
-    /// points.
-    fn replay<R: Records, const GUARDED: bool>(
-        cfg: PipelineConfig,
-        warmup: Option<R>,
-        records: R,
-        guards: &RunGuards,
-    ) -> Result<SimResult, SimError> {
+    /// A fresh machine, functionally warmed on `warmup` when given.
+    fn warmed(cfg: PipelineConfig, warmup: Option<&ReplayImage>) -> Self {
         let mut sim = Simulator::new(cfg);
         if let Some(w) = warmup {
-            sim.walk::<_, GUARDED>(w, guards)?;
+            sim.warm(ImageRecords::new(w));
         }
-        sim.walk::<_, GUARDED>(records, guards)
+        sim
+    }
+
+    /// The functional warm-up: one pass over `records` in program order
+    /// that touches only the state outliving a replay — one I-cache access
+    /// per record, one [`Hierarchy`] access per memory record, one
+    /// predictor update per branch — and computes no timing. None of that
+    /// state depends on timing (the bank scheme changes latency only), so
+    /// the machine it leaves, statistics included, is the one a timed
+    /// [`Simulator::walk`] of `records` leaves.
+    fn warm<R: Records>(&mut self, mut records: R) {
+        let banks = self.cfg.realign.banks;
+        for idx in 0..records.len() {
+            let t = records.touch(idx);
+            self.icache.access(t.sid.pc(), false);
+            if let Some((addr, bytes, kind)) = t.mem {
+                self.mem
+                    .access(addr, u32::from(bytes), kind == MemKind::Store, banks);
+            }
+            if let Some((taken, unconditional)) = t.branch {
+                self.pred.access(t.sid, taken, unconditional);
+            }
+        }
     }
 
     /// The replay walk: one forward pass over `records` through the three
@@ -992,6 +1056,143 @@ mod tests {
         )
         .expect("nothing to replay, nothing to abort");
         assert_eq!(r.cycles, 0);
+    }
+
+    /// `iters` rounds of an unaligned vector load, a store, a load and,
+    /// every third round, a branch alternating taken and not taken.
+    fn mixed_trace(iters: i64, offset: u64) -> Trace {
+        let mut vm = Vm::new();
+        let buf = vm.mem_mut().alloc(8192, 16);
+        let p = vm.li((buf + offset) as i64);
+        let base = vm.li(buf as i64);
+        let i0 = vm.li(0);
+        for i in 0..iters {
+            let _ = vm.lvxu(i0, p);
+            let v = vm.li(i);
+            vm.stw(v, base, i * 52 % 4096);
+            let _ = vm.lwz(base, i * 36 % 4096);
+            if i % 3 == 0 {
+                let c = vm.cmpwi(i0, 0);
+                let top = vm.label();
+                vm.bc(c, i % 2 == 0, top);
+            }
+        }
+        vm.take_trace()
+    }
+
+    #[test]
+    fn functional_warm_up_leaves_the_machine_a_timed_walk_leaves() {
+        let trace = mixed_trace(300, 3);
+        let image = ReplayImage::build(&trace);
+        let guards = RunGuards::default();
+        let state = |sim: &Simulator| {
+            (
+                sim.icache.stats(),
+                sim.mem.l1_stats(),
+                sim.mem.l2_stats(),
+                sim.pred.stats(),
+            )
+        };
+        let single_bank = RealignConfig {
+            banks: valign_cache::BankScheme::SingleBank,
+            ..RealignConfig::proposed()
+        };
+        let mut cfgs = PipelineConfig::table_ii();
+        cfgs.push(PipelineConfig::four_way().with_realign(single_bank));
+        for cfg in cfgs {
+            let mut timed = Simulator::new(cfg.clone());
+            timed
+                .walk::<_, false>(trace.instrs(), &guards)
+                .expect("clean trace");
+            let mut from_records = Simulator::new(cfg.clone());
+            from_records.warm(trace.instrs());
+            let mut from_image = Simulator::new(cfg.clone());
+            from_image.warm(ImageRecords::new(&image));
+            let expected = state(&timed);
+            assert!(expected.1.hits > 0 && expected.3.branches > 0);
+            assert_eq!(expected, state(&from_records), "{}", cfg.name);
+            assert_eq!(expected, state(&from_image), "{}", cfg.name);
+            // The state the statistics do not show (tags, LRU order,
+            // counters, history) must match too: the next walk sees it.
+            let next = |sim: &mut Simulator| {
+                sim.walk::<_, false>(ImageRecords::new(&image), &guards)
+                    .expect("clean image")
+            };
+            let after_timed = next(&mut timed);
+            assert_eq!(after_timed, next(&mut from_records), "{}", cfg.name);
+            assert_eq!(after_timed, next(&mut from_image), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn guards_apply_to_the_measured_walk_only() {
+        let cfg = PipelineConfig::four_way();
+        let long = ReplayImage::build(&mixed_trace(300, 3));
+        let short = ReplayImage::build(&mixed_trace(40, 5));
+        // A budget the clean measured walk just meets; a stall past it.
+        let guards = |clean: &SimResult, at: Option<u64>| RunGuards {
+            cycle_budget: Some(clean.cycles),
+            stall: at.map(|at| StallInjection {
+                at,
+                cycles: clean.cycles + 1,
+            }),
+        };
+        let run = |warmup: &ReplayImage, image: &ReplayImage, g: &RunGuards| {
+            Simulator::try_simulate_image(cfg.clone(), Some(warmup), image, g)
+        };
+
+        // The usual warm job: the stall trips the watchdog at its record.
+        let clean = Simulator::simulate_image(cfg.clone(), Some(&short), &short);
+        let at = short.len() as u64 / 2;
+        match run(&short, &short, &guards(&clean, Some(at))) {
+            Err(SimError::BudgetExceeded {
+                index,
+                cycles,
+                budget,
+            }) => {
+                assert_eq!(index as u64, at);
+                assert_eq!(budget, clean.cycles);
+                assert!(cycles > budget);
+            }
+            other => panic!("expected BudgetExceeded at {at}, got {other:?}"),
+        }
+
+        // Warmed on a longer image, whose cold walk alone outlasts the
+        // budget: neither the budget nor a stall at a record only the
+        // warm-up has reaches the warm-up.
+        let clean = Simulator::simulate_image(cfg.clone(), Some(&long), &short);
+        let past_the_end = long.len() as u64 - 1;
+        assert!(past_the_end >= short.len() as u64);
+        for g in [guards(&clean, None), guards(&clean, Some(past_the_end))] {
+            assert_eq!(run(&long, &short, &g), Ok(clean), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn corrupt_warm_up_image_is_refused_before_it_is_warmed_on() {
+        use crate::image::Sabotage;
+        let image = ReplayImage::build(&mixed_trace(60, 3));
+        // A truncated warm-up would panic the moment the warm pass sliced
+        // its columns, so a returned error shows it was never reached.
+        for kind in [
+            Sabotage::Truncate,
+            Sabotage::FlagBitFlip,
+            Sabotage::CursorCorrupt,
+        ] {
+            let mut warm = image.clone();
+            assert!(warm.sabotage(kind, 25));
+            let err = Simulator::try_simulate_image(
+                PipelineConfig::four_way(),
+                Some(&warm),
+                &image,
+                &RunGuards::default(),
+            )
+            .expect_err("a corrupt warm-up image must be refused");
+            assert!(
+                matches!(err, SimError::CorruptImage { .. }),
+                "{kind:?}: {err}"
+            );
+        }
     }
 }
 

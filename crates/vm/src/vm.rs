@@ -36,6 +36,7 @@ use crate::mem::Memory;
 use crate::ops;
 use crate::v128::V128;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::Location;
 
 use valign_isa::align;
@@ -104,12 +105,63 @@ impl Label {
 
 type Loc = (&'static str, u32, u32);
 
+/// An Fx-style hasher (rotate, xor, multiply per word) for the site map.
+/// [`Vm`] hashes a [`Loc`] on every dynamic instruction, where SipHash
+/// was a measurable share of tracing. It is not DoS-resistant, which keys
+/// that are source locations do not need. The key stays the file's
+/// content, not its pointer: one location may see several copies of its
+/// file string across codegen units, and must still get one [`StaticId`].
+#[derive(Debug, Default)]
+struct SiteHasher(u64);
+
+impl SiteHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for SiteHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The tracing virtual machine. See the [module docs](self).
 #[derive(Debug)]
 pub struct Vm {
     mem: Memory,
     trace: Trace,
-    sites: HashMap<Loc, StaticId>,
+    sites: HashMap<Loc, StaticId, BuildHasherDefault<SiteHasher>>,
     next_sid: u32,
     next_gpr: u8,
     next_vpr: u8,
@@ -171,7 +223,7 @@ impl Vm {
         Vm {
             mem: Memory::new(),
             trace: Trace::new(),
-            sites: HashMap::new(),
+            sites: HashMap::default(),
             next_sid: 1,
             next_gpr: 0,
             next_vpr: 0,

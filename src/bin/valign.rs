@@ -713,6 +713,12 @@ fn run_explain(ctx: &SimContext, o: &Options) -> ! {
     std::process::exit(0);
 }
 
+/// The paper's tables and figures, in the order `valign all` prints them.
+const EXPERIMENTS: [&str; 7] = [
+    "table1", "table2", "table3", "fig4", "fig8", "fig9", "fig10",
+];
+
+/// Prints one of [`EXPERIMENTS`].
 fn run_one(ctx: &SimContext, cmd: &str, o: &Options) {
     match cmd {
         "table1" => print!("{}", table1::render()),
@@ -734,71 +740,64 @@ fn run_one(ctx: &SimContext, cmd: &str, o: &Options) {
             "{}",
             or_die(fig10::run_with(ctx, (o.execs / 2).max(4), 2, o.seed)).render()
         ),
-        other => usage(&format!("unknown subcommand {other}")),
+        other => unreachable!("{other} is not an experiment"),
     }
 }
 
-fn main() {
-    let (cmd, opts) = parse_args();
-    if cmd == "pack" {
-        run_pack(&opts);
+/// Runs `valign all`: every experiment, then the scorecard. Exits 1 when
+/// the trace store retraced a kernel/variant.
+fn run_all(ctx: &SimContext, o: &Options) {
+    for c in EXPERIMENTS {
+        run_one(ctx, c, o);
+        println!();
     }
-    if cmd == "verify-image" {
-        run_verify_image(&opts);
+    println!("== simulation scorecard ==\n");
+    print!("{}", ctx.scorecard());
+    let stats = ctx.store().stats();
+    if !stats.traced_exactly_once() {
+        eprintln!(
+            "error: trace store retraced a kernel/variant ({} misses for {} traces)",
+            stats.misses, stats.entries
+        );
+        std::process::exit(1);
     }
-    if cmd == "serve" {
-        run_serve(&opts);
-    }
-    if cmd == "submit" {
-        run_submit(&opts);
-    }
-    if cmd == "audit" {
-        // Store mode needs no simulation context at all — the whole
-        // audit is static, straight off the directory.
-        if let Some(dir) = opts.store_dir.as_deref() {
-            run_audit_store(&opts, dir);
-        }
-    }
-    let ctx = match opts.store_dir.as_deref() {
+}
+
+/// The simulation context, on the `--store-dir` store when one is given
+/// (opening it creates the directory). Exits 1 when it cannot be opened.
+fn open_context(o: &Options) -> SimContext {
+    match o.store_dir.as_deref() {
         Some(dir) => match TraceStore::with_disk(dir) {
-            Ok(store) => SimContext::with_store(opts.threads, store),
+            Ok(store) => SimContext::with_store(o.threads, store),
             Err(e) => {
                 eprintln!("error: cannot open store dir: {e}");
                 std::process::exit(1);
             }
         },
-        None => SimContext::new(opts.threads),
-    };
-    if cmd == "run" {
-        run_run(&ctx, &opts);
+        None => SimContext::new(o.threads),
     }
-    if cmd == "lint" {
-        run_lint(&ctx, &opts);
-    }
-    if cmd == "audit" {
-        run_audit_matrix(&ctx, &opts);
-    }
-    if cmd == "explain" {
-        run_explain(&ctx, &opts);
-    }
-    if cmd == "all" {
-        for c in [
-            "table1", "table2", "table3", "fig4", "fig8", "fig9", "fig10",
-        ] {
-            run_one(&ctx, c, &opts);
-            println!();
-        }
-        println!("== simulation scorecard ==\n");
-        print!("{}", ctx.scorecard());
-        let stats = ctx.store().stats();
-        if !stats.traced_exactly_once() {
-            eprintln!(
-                "error: trace store retraced a kernel/variant ({} misses for {} traces)",
-                stats.misses, stats.entries
-            );
-            std::process::exit(1);
-        }
-    } else {
-        run_one(&ctx, &cmd, &opts);
+}
+
+fn main() {
+    let (cmd, opts) = parse_args();
+    // Every subcommand is named here, so an unknown one is refused before
+    // anything touches the file system.
+    match cmd.as_str() {
+        "pack" => run_pack(&opts),
+        "verify-image" => run_verify_image(&opts),
+        "serve" => run_serve(&opts),
+        "submit" => run_submit(&opts),
+        // Store mode needs no simulation context at all — the whole
+        // audit is static, straight off the directory.
+        "audit" => match opts.store_dir.as_deref() {
+            Some(dir) => run_audit_store(&opts, dir),
+            None => run_audit_matrix(&open_context(&opts), &opts),
+        },
+        "run" => run_run(&open_context(&opts), &opts),
+        "lint" => run_lint(&open_context(&opts), &opts),
+        "explain" => run_explain(&open_context(&opts), &opts),
+        "all" => run_all(&open_context(&opts), &opts),
+        c if EXPERIMENTS.contains(&c) => run_one(&open_context(&opts), c, &opts),
+        other => usage(&format!("unknown subcommand {other}")),
     }
 }

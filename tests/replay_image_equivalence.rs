@@ -2,8 +2,10 @@
 //! engine: for every kernel/variant workload trace and every Table II
 //! configuration, replaying the image — unguarded and guarded — produces a
 //! `SimResult` bit-identical to the record-form reference path, cold,
-//! warm, and with a realignment penalty — and the realign bucket stays
-//! inside the static cost model's ceiling.
+//! warm (on the same kernel or another), and with a realignment penalty —
+//! and the realign bucket stays inside the static cost model's ceiling.
+//! The image paths warm functionally and the reference path with a timed
+//! walk, so the warm passes are the functional warm-up's oracle.
 
 use valign::cache::RealignConfig;
 use valign::core::workload::{trace_kernel, KernelId};
@@ -16,8 +18,8 @@ const SEED: u64 = 20070425;
 /// Cold and warm replays of `trace` on `cfg` through all three entry
 /// points — the reference path, the image path and the guarded image
 /// path — must match result-for-result (the warm pass also proves that
-/// persistent cache/predictor state evolves identically under every
-/// walk). The stall attribution is held to the same standard explicitly:
+/// the image paths' functional warm-up leaves the caches and predictor
+/// where the reference path's timed warm-up walk does). The stall attribution is held to the same standard explicitly:
 /// the paths charge every cycle to the same bucket, and the buckets sum
 /// exactly to the cycle count. The realign bucket never exceeds the cost
 /// model's static ceiling, and is empty when unaligned accesses cost no
@@ -85,6 +87,35 @@ fn every_kernel_variant_and_config_is_bit_identical() {
                     &label,
                 );
             }
+        }
+    }
+}
+
+/// A warm-up carries state from one stream into a *different* one: warm
+/// on kernel A and measure kernel B, and the image paths (functional
+/// warm-up) must still match the reference path (timed warm-up) on every
+/// Table II config.
+#[test]
+fn cross_image_warm_up_is_bit_identical() {
+    let pick = |i: usize| {
+        let kernel = KernelId::ALL[i * 3 % KernelId::ALL.len()];
+        let variant = Variant::ALL[i % Variant::ALL.len()];
+        let label = format!("{}/{}", kernel.label(), variant.label());
+        let trace = trace_kernel(kernel, variant, EXECS, SEED);
+        let image = ReplayImage::build(&trace);
+        (label, trace, image)
+    };
+    let streams: Vec<_> = (0..4).map(pick).collect();
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+        let (la, ta, ia) = &streams[a];
+        let (lb, tb, ib) = &streams[b];
+        for cfg in PipelineConfig::table_ii() {
+            let r = Simulator::simulate_reference(cfg.clone(), Some(ta), tb);
+            let i = Simulator::simulate_image(cfg.clone(), Some(ia), ib);
+            let g = Simulator::try_simulate_image(cfg.clone(), Some(ia), ib, &RunGuards::default())
+                .unwrap_or_else(|e| panic!("{la} -> {lb} [{}] guarded pass failed: {e}", cfg.name));
+            assert_eq!(r, i, "{la} -> {lb} [{}] diverged", cfg.name);
+            assert_eq!(i, g, "{la} -> {lb} [{}] guarded diverged", cfg.name);
         }
     }
 }
