@@ -52,7 +52,7 @@
 //! on top of this.
 
 use crate::faults::{FaultClass, FaultPlan, FaultSet};
-use crate::supervise::OutcomeTally;
+use crate::supervise::{verify_image, OutcomeTally};
 use crate::workload::{trace_kernel, KernelId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,8 +63,10 @@ use std::time::Duration;
 use std::time::Instant;
 use valign_isa::Trace;
 use valign_kernels::util::Variant;
-use valign_pipeline::{PipelineConfig, ReplayImage, SimResult, Simulator, WordHash};
-use valign_store::{StoreDir, StoreError, WriteFault};
+use valign_pipeline::{
+    PipelineConfig, ReplayImage, SimError, SimResult, Simulator, VerifiedImage, WordHash,
+};
+use valign_store::{StoreDir, StoreError, StoredImage, WriteFault};
 
 /// Domain-separation seed of [`TraceKey::content_hash`].
 const KEY_HASH_SEED: u64 = 0x7661_6c69_676e_0003;
@@ -128,61 +130,83 @@ pub enum ImageProvenance {
 /// re-derived from the entry's key on first demand — tracing is
 /// deterministic, so the re-derived records are the ones the image was
 /// compiled from. Everything is `Arc`-shared: cloning a `PreparedTrace`
-/// is refcount bumps, and all clones of one entry share one records cell.
+/// is refcount bumps, and all clones of one entry share its lazily filled
+/// records, checksum and integrity verdict.
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
     /// The key records are re-derived from; `None` only for a
     /// store-bypassing shared trace, whose records cell starts filled.
     key: Option<TraceKey>,
-    records: Arc<OnceLock<Arc<Trace>>>,
+    cells: Arc<EntryCells>,
     /// The packed structure-of-arrays replay form of the trace.
     pub image: Arc<ReplayImage>,
-    /// Checksum of `image` taken at compile (or verified load) time. A
-    /// supervised replay recomputes the checksum at load and treats a
-    /// mismatch as [`valign_pipeline::SimError::ChecksumMismatch`] — the
-    /// first rung of the integrity ladder, catching corruption that
-    /// static validation cannot see.
-    pub image_checksum: u64,
     /// Where the image came from (built, disk, rebuilt-after-eviction).
     pub provenance: ImageProvenance,
 }
 
+/// The lazily filled state of one store entry, shared by every clone of
+/// its [`PreparedTrace`]. Each cell is filled at most once.
+#[derive(Debug, Default)]
+struct EntryCells {
+    /// The canonical record-form trace.
+    records: OnceLock<Arc<Trace>>,
+    /// [`ReplayImage::checksum`] of the image. A built entry takes it on
+    /// first demand (write-back, a fault copy, the first verification);
+    /// the memory-only sweep never asks. A decoded entry starts with the
+    /// checksum its file carried, which the decode verified.
+    checksum: OnceLock<u64>,
+    /// The verdict of the integrity ladder's rungs 1 and 2 (checksum,
+    /// then static validation) on the image. A built entry is verified on
+    /// its first supervised replay; a decoded entry starts verified,
+    /// because the store's decode ran both rungs.
+    verdict: OnceLock<Result<VerifiedImage, SimError>>,
+}
+
 impl PreparedTrace {
-    /// Compiles `trace` into its replay image and checksums it. The entry
-    /// keeps `trace` as its records: it has no key to re-derive them from.
+    /// Compiles `trace` into its replay image. The entry keeps `trace` as
+    /// its records: it has no key to re-derive them from.
     pub fn new(trace: Arc<Trace>) -> Self {
-        let image = ReplayImage::build(&trace).into_shared();
         PreparedTrace {
             key: None,
-            records: Arc::new(OnceLock::from(trace)),
-            image_checksum: image.checksum(),
-            image,
+            image: ReplayImage::build(&trace).into_shared(),
+            cells: Arc::new(EntryCells {
+                records: OnceLock::from(trace),
+                ..EntryCells::default()
+            }),
             provenance: ImageProvenance::Built,
         }
     }
 
-    /// Wraps an already compiled (or verified) image of `key`; the
-    /// canonical trace is re-traced from `key` only if someone asks for
-    /// records.
-    fn image_only(
-        key: TraceKey,
-        image: Arc<ReplayImage>,
-        image_checksum: u64,
-        provenance: ImageProvenance,
-    ) -> Self {
+    /// Wraps a freshly compiled image of `key`; the canonical trace is
+    /// re-traced from `key` only if someone asks for records.
+    fn image_only(key: TraceKey, image: Arc<ReplayImage>, provenance: ImageProvenance) -> Self {
         PreparedTrace {
             key: Some(key),
-            records: Arc::default(),
+            cells: Arc::default(),
             image,
-            image_checksum,
             provenance,
+        }
+    }
+
+    /// Wraps an image of `key` that the store's decode verified, together
+    /// with its verified checksum.
+    fn decoded(key: TraceKey, stored: StoredImage<VerifiedImage>) -> Self {
+        PreparedTrace {
+            key: Some(key),
+            image: Arc::clone(stored.image.shared()),
+            cells: Arc::new(EntryCells {
+                records: OnceLock::new(),
+                checksum: OnceLock::from(stored.checksum),
+                verdict: OnceLock::from(Ok(stored.image)),
+            }),
+            provenance: ImageProvenance::DiskLoaded,
         }
     }
 
     /// The canonical record-form trace, re-deriving it from the key on
     /// first call. All clones of one entry share the derived `Arc`.
     pub fn trace(&self) -> Arc<Trace> {
-        Arc::clone(self.records.get_or_init(|| {
+        Arc::clone(self.cells.records.get_or_init(|| {
             let key = self
                 .key
                 .expect("keyless entries are created with their records");
@@ -195,7 +219,24 @@ impl PreparedTrace {
     /// [`TraceStore::prepared_for_records`], and for any entry after
     /// someone called [`PreparedTrace::trace`].
     pub fn trace_materialized(&self) -> bool {
-        self.records.get().is_some()
+        self.cells.records.get().is_some()
+    }
+
+    /// The image's content checksum ([`ReplayImage::checksum`]), computed
+    /// on first call and shared by all clones of the entry.
+    pub(crate) fn checksum(&self) -> u64 {
+        *self.cells.checksum.get_or_init(|| self.image.checksum())
+    }
+
+    /// The image as proven by rungs 1 and 2 of the integrity ladder
+    /// ([`crate::supervise::verify_image`]), or the rung it failed. The
+    /// rungs run at most once per entry; every later call returns the
+    /// kept verdict.
+    pub(crate) fn verified(&self) -> Result<VerifiedImage, SimError> {
+        self.cells
+            .verdict
+            .get_or_init(|| verify_image(Arc::clone(&self.image), self.checksum()))
+            .clone()
     }
 }
 
@@ -378,12 +419,7 @@ impl TraceStore {
         match dir.load(hash) {
             Ok(stored) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                PreparedTrace::image_only(
-                    key,
-                    Arc::new(stored.image),
-                    stored.checksum,
-                    ImageProvenance::DiskLoaded,
-                )
+                PreparedTrace::decoded(key, stored)
             }
             Err(StoreError::Missing) => {
                 self.disk_misses.fetch_add(1, Ordering::Relaxed);
@@ -421,7 +457,7 @@ impl TraceStore {
                 _ => None,
             });
         if dir
-            .save_with_fault(hash, &prepared.image, prepared.image_checksum, fault)
+            .save_with_fault(hash, &prepared.image, prepared.checksum(), fault)
             .is_err()
         {
             self.disk_write_failures.fetch_add(1, Ordering::Relaxed);
@@ -446,7 +482,7 @@ impl TraceStore {
             let mut traces = 0;
             for prepared in map.values().filter_map(|cell| cell.get()) {
                 bytes += prepared.image.approx_bytes();
-                if let Some(trace) = prepared.records.get() {
+                if let Some(trace) = prepared.cells.records.get() {
                     bytes += trace.approx_bytes();
                     traces += 1;
                 }
@@ -476,10 +512,9 @@ impl TraceStore {
 fn build(key: TraceKey, provenance: ImageProvenance, keep_trace: bool) -> PreparedTrace {
     let trace = trace_kernel(key.kernel, key.variant, key.execs, key.seed);
     let image = ReplayImage::build(&trace).into_shared();
-    let image_checksum = image.checksum();
-    let prepared = PreparedTrace::image_only(key, image, image_checksum, provenance);
+    let prepared = PreparedTrace::image_only(key, image, provenance);
     if keep_trace {
-        let _ = prepared.records.set(trace.into_shared());
+        let _ = prepared.cells.records.set(trace.into_shared());
     }
     prepared
 }
@@ -1009,6 +1044,10 @@ mod tests {
             !a.trace_materialized(),
             "a replay-only build keeps only the image"
         );
+        assert!(
+            a.cells.checksum.get().is_none() && a.cells.verdict.get().is_none(),
+            "a memory-only build neither checksums nor validates its image"
+        );
         assert_eq!(store.stats().materialized_traces, 0);
 
         // Records are re-derived on demand: the same stream a fresh
@@ -1016,7 +1055,15 @@ mod tests {
         let derived = a.trace();
         let fresh = trace_kernel(KernelId::Sad(BlockSize::B8x8), Variant::Unaligned, 3, 7);
         assert_eq!(derived.instrs(), fresh.instrs());
-        assert_eq!(ReplayImage::build(&derived).checksum(), a.image_checksum);
+        assert_eq!(ReplayImage::build(&derived).checksum(), a.checksum());
+        assert_eq!(
+            b.cells.checksum.get(),
+            Some(&a.checksum()),
+            "clones share it"
+        );
+        let verified = b.verified().expect("a built image is well-formed");
+        assert!(Arc::ptr_eq(verified.shared(), &a.image));
+        assert!(a.cells.verdict.get().is_some(), "clones share the verdict");
 
         // Every clone of the entry shares the one derived Arc, and so do
         // later lookups and `get`.
@@ -1098,7 +1145,11 @@ mod tests {
             "warm loads must not pay for trace generation"
         );
         assert_eq!(loaded.image.checksum(), built.image.checksum());
-        assert_eq!(loaded.image_checksum, built.image_checksum);
+        assert_eq!(loaded.checksum(), built.checksum());
+        assert!(
+            matches!(loaded.cells.verdict.get(), Some(Ok(_))),
+            "a decoded entry starts verified"
+        );
         assert_eq!(warm.resident_len(key(3)), Some(loaded.image.len()));
 
         // Asking for records materializes the same trace lazily.

@@ -16,16 +16,25 @@
 //!    rebuilt, [`ImageProvenance::DiskRebuilt`]), the attempt degrades
 //!    immediately: the rebuilt bytes are fine, but a store that served
 //!    corrupt bytes is surfaced as a degraded outcome, never silently.
-//! 1. **Checksum** — the replay image's stored checksum (taken at compile
-//!    time, [`PreparedTrace`](crate::sim::PreparedTrace)) is recomputed
-//!    at load; a mismatch means the bytes changed since compilation.
+//! 1. **Checksum** — the image is re-hashed and compared with the
+//!    checksum the entry took (`PreparedTrace::checksum`); a mismatch
+//!    means the bytes changed since then.
 //! 2. **Static validation** — [`ReplayImage::validate`] proves the
 //!    structure internally consistent (array lengths, mask/cursor
 //!    agreement, producer bounds).
-//! 3. **Guarded replay** — [`Simulator::try_simulate_image`]
+//! 3. **Guarded replay** — [`Simulator::try_simulate_verified`]
 //!    bounds-checks the pre-resolved dependence walk and enforces a
 //!    deterministic cycle-budget watchdog (simulated cycles, never
 //!    wall-clock, so the watchdog itself is reproducible).
+//!
+//! A store entry's image is immutable behind its `Arc`, so rungs 1 and 2
+//! run at most once per entry: the first supervised attempt keeps their
+//! verdict in the [`PreparedTrace`](crate::sim::PreparedTrace) (a
+//! [`VerifiedImage`] or the failing rung's error) and every later
+//! attempt reuses it. A decoded entry starts verified, because the
+//! store's decode ran both rungs. A fault that swaps in a sabotaged copy
+//! makes a new image, which climbs rungs 1 and 2 itself on every attempt
+//! and never inherits the entry's verdict. Rung 3 runs on every attempt.
 //!
 //! What happens on failure depends on what failed:
 //!
@@ -56,7 +65,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use valign_isa::Trace;
 use valign_pipeline::hash::hash_words;
-use valign_pipeline::{RunGuards, SimError, SimResult, Simulator, StallInjection};
+use valign_pipeline::{
+    ReplayImage, RunGuards, SimError, SimResult, Simulator, StallInjection, VerifiedImage,
+};
 
 /// How a supervised job ended, in submission order. Every variant that
 /// carries a [`SimResult`] is a usable measurement; only
@@ -455,8 +466,6 @@ impl SupervisedRunner {
         attempt: u32,
     ) -> AttemptOutcome {
         let prepared = job.prepared(store);
-        let mut image = Arc::clone(&prepared.image);
-        let mut expected = prepared.image_checksum;
         // Rung 0: a persistent-tier file failed the store's integrity
         // ladder and the image was rebuilt from source. The rebuilt bytes
         // are trustworthy, but silent self-healing would hide the
@@ -468,11 +477,13 @@ impl SupervisedRunner {
             };
             return self.degrade(job, &prepared.trace(), reason);
         }
+        let image = &prepared.image;
         let budget = self.cfg.budget_for(image.len());
         let mut guards = RunGuards {
             cycle_budget: Some(budget),
             stall: None,
         };
+        let mut sabotaged = None;
         if let Some(plan) = plan.filter(|p| p.active(attempt)) {
             match plan.class {
                 FaultClass::Panic => panic!(
@@ -485,7 +496,7 @@ impl SupervisedRunner {
                     // encode, damage the *file bytes*, and make the real
                     // decoder climb its ladder. In-memory, so parallel
                     // jobs sharing one key never race on a real file.
-                    let mut bytes = valign_store::encode_file(&image, expected);
+                    let mut bytes = valign_store::encode_file(image, prepared.checksum());
                     valign_store::sabotage_file_bytes(&mut bytes, plan.site);
                     let error = match valign_store::decode_file(&bytes) {
                         Err(e) => e,
@@ -520,35 +531,40 @@ impl SupervisedRunner {
                     let kind = class
                         .sabotage()
                         .expect("image fault classes map to a sabotage");
-                    let mut copy = (*image).clone();
+                    let mut copy = (**image).clone();
                     copy.sabotage(kind, plan.site);
-                    image = Arc::new(copy);
-                    if class != FaultClass::ImageCorrupt {
-                        // Truncation and bit-flips model corruption that
-                        // happened *before* checksumming, so they must
-                        // get past rung 1 and be caught by validation or
-                        // the guarded walk. Cursor corruption models
-                        // post-checksum rot: the stored checksum stays
-                        // stale and rung 1 catches it.
-                        expected = image.checksum();
-                    }
+                    // Truncation and bit-flips model corruption that
+                    // happened *before* checksumming, so they must get
+                    // past rung 1 and be caught by validation or the
+                    // guarded walk. Cursor corruption models
+                    // post-checksum rot: the entry's checksum is stale
+                    // for the copy and rung 1 catches it.
+                    let expected = if class == FaultClass::ImageCorrupt {
+                        prepared.checksum()
+                    } else {
+                        copy.checksum()
+                    };
+                    sabotaged = Some((copy, expected));
                 }
             }
         }
-        let actual = image.checksum();
-        if actual != expected {
-            return self.degrade(
-                job,
-                &prepared.trace(),
-                SimError::ChecksumMismatch { expected, actual },
-            );
-        }
-        match Simulator::try_simulate_image(
-            job.cfg.clone(),
-            job.warm.then_some(&*image),
-            &image,
-            &guards,
-        ) {
+        // Rungs 1 and 2. A sabotaged copy is a new image: it climbs them
+        // itself and never inherits the entry's verdict, which the entry
+        // reaches once and keeps for every later job.
+        let verified = match sabotaged {
+            Some((copy, expected)) => verify_image(Arc::new(copy), expected),
+            None => prepared.verified(),
+        };
+        // Rung 3: the guarded walk, on every attempt.
+        let replay = verified.and_then(|image| {
+            Simulator::try_simulate_verified(
+                job.cfg.clone(),
+                job.warm.then_some(&image),
+                &image,
+                &guards,
+            )
+        });
+        match replay {
             Ok(result) => AttemptOutcome::Done(result),
             Err(reason) if reason.degradable() => self.degrade(job, &prepared.trace(), reason),
             Err(error) => AttemptOutcome::Failed(error),
@@ -568,6 +584,21 @@ impl SupervisedRunner {
             reason,
         }
     }
+}
+
+/// Rungs 1 and 2 of the integrity ladder on `image`: its checksum must
+/// equal `expected` (the one taken when the image was trusted), then
+/// static validation must pass. The resulting [`VerifiedImage`] is what
+/// the guarded walk ([`Simulator::try_simulate_verified`]) replays.
+pub(crate) fn verify_image(
+    image: Arc<ReplayImage>,
+    expected: u64,
+) -> Result<VerifiedImage, SimError> {
+    let actual = image.checksum();
+    if actual != expected {
+        return Err(SimError::ChecksumMismatch { expected, actual });
+    }
+    VerifiedImage::new(image)
 }
 
 #[cfg(test)]
@@ -662,39 +693,92 @@ mod tests {
     #[test]
     fn image_faults_degrade_to_the_reference_walker() {
         let store = TraceStore::new();
-        for (spec, want_checksum) in [
-            ("truncate:*", false),
-            ("bitflip:*", false),
-            ("image-corrupt:*", true),
-            ("lsu-overflow:*", false),
-            ("disk-corrupt:*", false),
-        ] {
-            let outcomes = SupervisedRunner::new(2)
-                .with_faults(faults(spec))
-                .run(&store, &jobs());
-            for (outcome, job) in outcomes.iter().zip(&jobs()) {
-                let JobOutcome::Degraded {
-                    result,
-                    reason,
-                    attempts,
-                } = outcome
-                else {
-                    panic!("{spec}: expected degradation, got {outcome:?}");
-                };
-                assert_eq!(*attempts, 1, "{spec}: degradation never retries");
-                assert_eq!(
-                    matches!(reason, SimError::ChecksumMismatch { .. }),
-                    want_checksum,
-                    "{spec} must land on its designed rung, got {reason}"
-                );
-                let trace = job.prepared(&store).trace();
-                assert_eq!(
-                    result,
-                    &Simulator::simulate_reference(job.cfg.clone(), Some(&trace), &trace),
-                    "{spec}: degraded result must be bit-identical to the reference walker"
+        let jobs = jobs();
+        let plain = BatchRunner::new(2).run(&store, &jobs);
+        // An entry's verdict is shared by every later attempt, so no
+        // sabotaged copy may leak into it: a clean batch must complete on
+        // the shared store before and after the faults, and on a fresh
+        // store whose entries a fault attempt reached first.
+        let clean_batch_matches_the_plain_runner = |store: &TraceStore| {
+            let outcomes = SupervisedRunner::new(2).run(store, &jobs);
+            for (outcome, expected) in outcomes.iter().zip(&plain) {
+                assert!(
+                    matches!(outcome, JobOutcome::Completed { result } if result == expected),
+                    "a clean batch after image faults must complete: {outcome:?}"
                 );
             }
+        };
+        clean_batch_matches_the_plain_runner(&store);
+        // Each class lands on its designed rung (the `faults` table). An
+        // LSU-window overflow needs a dependence list to bend; on an image
+        // without one (the scalar variant here) it falls back to a
+        // dangling producer, which the same guarded walk catches.
+        fn has_dep_lists(image: &ReplayImage) -> bool {
+            (0..image.memory_records()).any(|c| !image.mem_deps_at(c).is_empty())
         }
+        type Rung = fn(&SimError, &ReplayImage) -> bool;
+        let rungs: [(&str, Rung); 5] = [
+            ("truncate:*", |e, _| {
+                matches!(e, SimError::CorruptImage { .. })
+            }),
+            ("bitflip:*", |e, _| {
+                matches!(e, SimError::CorruptImage { .. })
+            }),
+            ("image-corrupt:*", |e, _| {
+                matches!(e, SimError::ChecksumMismatch { .. })
+            }),
+            ("lsu-overflow:*", |e, image| {
+                if has_dep_lists(image) {
+                    matches!(e, SimError::DepOutOfWindow { .. })
+                } else {
+                    matches!(e, SimError::DanglingProducer { .. })
+                }
+            }),
+            ("disk-corrupt:*", |e, _| {
+                matches!(e, SimError::CorruptImage { detail, .. }
+                    if detail.contains("stored image file corrupt"))
+            }),
+        ];
+        let with_deps = jobs
+            .iter()
+            .filter(|job| has_dep_lists(&job.prepared(&store).image))
+            .count();
+        assert!(
+            (1..jobs.len()).contains(&with_deps),
+            "the batch covers images with and without dependence lists"
+        );
+        for (spec, on_its_rung) in rungs {
+            let fresh = TraceStore::new();
+            for store in [&store, &fresh] {
+                let outcomes = SupervisedRunner::new(2)
+                    .with_faults(faults(spec))
+                    .run(store, &jobs);
+                for (outcome, job) in outcomes.iter().zip(&jobs) {
+                    let JobOutcome::Degraded {
+                        result,
+                        reason,
+                        attempts,
+                    } = outcome
+                    else {
+                        panic!("{spec}: expected degradation, got {outcome:?}");
+                    };
+                    assert_eq!(*attempts, 1, "{spec}: degradation never retries");
+                    let prepared = job.prepared(store);
+                    assert!(
+                        on_its_rung(reason, &prepared.image),
+                        "{spec} must land on its designed rung, got {reason}"
+                    );
+                    let trace = prepared.trace();
+                    assert_eq!(
+                        result,
+                        &Simulator::simulate_reference(job.cfg.clone(), Some(&trace), &trace),
+                        "{spec}: degraded result must be bit-identical to the reference walker"
+                    );
+                }
+            }
+            clean_batch_matches_the_plain_runner(&fresh);
+        }
+        clean_batch_matches_the_plain_runner(&store);
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bipred;
 pub mod cabac;
 pub mod chroma;
 pub mod deblock;
@@ -52,7 +51,6 @@ pub mod luma;
 pub mod sad;
 pub mod util;
 
-pub use bipred::{mc_avg, AvgArgs};
 pub use cabac::{cabac_decode_bins, setup_cabac, CabacLayout};
 pub use chroma::{chroma_bilin, ChromaArgs};
 pub use deblock::{deblock_vertical_luma, DeblockArgs};

@@ -44,7 +44,9 @@ use crate::attribution::{Bucket, Timeline};
 use crate::backend::{Backend, Ready};
 use crate::config::PipelineConfig;
 use crate::frontend::Frontend;
-use crate::image::{dst_file_of, flags, mem_kind_of, src_defs_of, DstFile, ReplayImage, NO_DEF};
+use crate::image::{
+    dst_file_of, flags, mem_kind_of, src_defs_of, DstFile, ReplayImage, VerifiedImage, NO_DEF,
+};
 use crate::latency::LatencyTable;
 use crate::lsu::{Lsu, MemAccess, MemExec};
 use crate::predictor::BranchPredictor;
@@ -52,8 +54,9 @@ use crate::result::{SimError, SimResult};
 use valign_cache::{CacheConfig, Hierarchy, SetAssocCache};
 use valign_isa::{DynInstr, MemKind, Opcode, StaticId, Trace};
 
-/// Integrity guards applied by the checked replay path
-/// ([`Simulator::try_simulate_image`]) to the measured walk; the
+/// Integrity guards applied by the checked replay paths
+/// ([`Simulator::try_simulate_image`], [`Simulator::try_simulate_verified`])
+/// to the measured walk; the
 /// functional warm-up computes no cycles, so there is nothing to guard.
 /// Both guards are expressed in simulated cycles / record indices — never
 /// wall-clock — so a guarded replay is as deterministic as an unguarded
@@ -338,9 +341,11 @@ impl Records for ImageRecords<'_> {
 }
 
 /// The cycle-accurate simulator: the machine state (caches and
-/// predictor) one job's replays run on. Jobs go through the three entry
-/// points — [`Simulator::simulate_image`], [`Simulator::try_simulate_image`]
-/// and [`Simulator::simulate_reference`] — each of which builds a fresh
+/// predictor) one job's replays run on. Jobs go through the entry points
+/// — [`Simulator::simulate_image`], the checked
+/// [`Simulator::try_simulate_image`] and
+/// [`Simulator::try_simulate_verified`], and
+/// [`Simulator::simulate_reference`] — each of which builds a fresh
 /// machine.
 #[derive(Debug)]
 pub struct Simulator {
@@ -411,6 +416,31 @@ impl Simulator {
             warm.validate()?;
         }
         image.validate()?;
+        Self::guarded(cfg, warmup, image, guards)
+    }
+
+    /// [`Simulator::try_simulate_image`] on images already proven
+    /// well-formed: the same guarded walk (watchdog, injected stall,
+    /// producer and dependence-window checks) without validating again.
+    /// The supervisor proves each store entry once and replays it here
+    /// on every job.
+    pub fn try_simulate_verified(
+        cfg: PipelineConfig,
+        warmup: Option<&VerifiedImage>,
+        image: &VerifiedImage,
+        guards: &RunGuards,
+    ) -> Result<SimResult, SimError> {
+        Self::guarded(cfg, warmup.map(|w| &**w), image, guards)
+    }
+
+    /// The guarded walk both checked entry points share; callers have
+    /// validated `warmup` and `image`.
+    fn guarded(
+        cfg: PipelineConfig,
+        warmup: Option<&ReplayImage>,
+        image: &ReplayImage,
+        guards: &RunGuards,
+    ) -> Result<SimResult, SimError> {
         Self::warmed(cfg, warmup).walk::<_, true>(ImageRecords::new(image), guards)
     }
 
@@ -981,9 +1011,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn runtime_sabotage_is_caught_mid_replay() {
-        use crate::image::Sabotage;
+    /// Forty store-then-reload pairs: every load has a dependence list.
+    fn store_reload_trace() -> Trace {
         let mut vm = Vm::new();
         let buf = vm.mem_mut().alloc(4096, 16);
         let base = vm.li(buf as i64);
@@ -992,7 +1021,13 @@ mod tests {
             vm.stw(v, base, i * 4);
             let _ = vm.lwz(base, i * 4);
         }
-        let trace = vm.take_trace();
+        vm.take_trace()
+    }
+
+    #[test]
+    fn runtime_sabotage_is_caught_mid_replay() {
+        use crate::image::Sabotage;
+        let trace = store_reload_trace();
 
         let mut img = ReplayImage::build(&trace);
         assert!(img.sabotage(Sabotage::DepOverflow, 11));
@@ -1019,6 +1054,58 @@ mod tests {
         )
         .expect_err("the producer check must catch it");
         assert!(matches!(err, SimError::DanglingProducer { .. }), "{err}");
+    }
+
+    #[test]
+    fn verified_images_refuse_static_sabotage_and_keep_the_runtime_checks() {
+        use crate::image::Sabotage;
+        let trace = store_reload_trace();
+        let clean = ReplayImage::build(&trace);
+        let cfg = PipelineConfig::four_way();
+        let guards = RunGuards::default();
+
+        let proven = VerifiedImage::new(clean.clone().into_shared()).expect("clean image");
+        assert_eq!(
+            Simulator::try_simulate_verified(cfg.clone(), Some(&proven), &proven, &guards),
+            Ok(Simulator::simulate_image(cfg.clone(), Some(&clean), &clean))
+        );
+
+        // The constructor is validate(): it refuses exactly what the
+        // static rung catches.
+        for kind in [
+            Sabotage::Truncate,
+            Sabotage::FlagBitFlip,
+            Sabotage::CursorCorrupt,
+        ] {
+            for site in 0..8 {
+                let mut img = clean.clone();
+                assert!(img.sabotage(kind, site));
+                let err = VerifiedImage::new(img.into_shared())
+                    .expect_err("statically corrupt images get no proof");
+                assert!(
+                    matches!(err, SimError::CorruptImage { .. }),
+                    "{kind:?} at site {site}: {err}"
+                );
+            }
+        }
+
+        // The runtime-only faults pass validation, so they get a proof —
+        // and the guarded walk on the proven image still stops them.
+        for (kind, site) in [(Sabotage::DepOverflow, 11), (Sabotage::DanglingDef, 23)] {
+            let mut img = clean.clone();
+            assert!(img.sabotage(kind, site));
+            let proven = VerifiedImage::new(img.into_shared())
+                .unwrap_or_else(|e| panic!("{kind:?} passes static validation, got {e}"));
+            let err =
+                Simulator::try_simulate_verified(cfg.clone(), Some(&proven), &proven, &guards)
+                    .expect_err("the guarded walk must catch it");
+            match kind {
+                Sabotage::DepOverflow => {
+                    assert!(matches!(err, SimError::DepOutOfWindow { .. }), "{err}");
+                }
+                _ => assert!(matches!(err, SimError::DanglingProducer { .. }), "{err}"),
+            }
+        }
     }
 
     #[test]

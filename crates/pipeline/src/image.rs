@@ -71,6 +71,7 @@ use crate::hash::WordHash;
 use crate::lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 use crate::result::SimError;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace};
 
 /// Sentinel producer index: the source slot is absent or its producer is
@@ -495,15 +496,16 @@ impl ReplayImage {
     }
 
     /// Freezes the image behind an `Arc` for shared replay.
-    pub fn into_shared(self) -> std::sync::Arc<ReplayImage> {
-        std::sync::Arc::new(self)
+    pub fn into_shared(self) -> Arc<ReplayImage> {
+        Arc::new(self)
     }
 
     /// Content checksum over every packed array (XXH64-style word hash,
     /// see [`crate::hash`]), domain-separated per array so a value moving
-    /// between arrays changes the digest. `valign-core` stores this in
-    /// `PreparedTrace` at build time; the supervised load path recomputes
-    /// and compares before trusting the image.
+    /// between arrays changes the digest. `valign-core`'s store entry
+    /// takes it once, on first demand, and the supervised path compares
+    /// it once per entry (and on every sabotaged copy) before trusting the
+    /// image.
     pub fn checksum(&self) -> u64 {
         // "valign-img" in the seed so image digests never collide with
         // other WordHash users (fault-site keys) on equal word streams.
@@ -1087,6 +1089,41 @@ impl ReplayImage {
     /// Unconditional bit of the `ord`-th branch record.
     pub(crate) fn branch_uncond_bit(&self, ord: usize) -> bool {
         get_bit(&self.branch_uncond, ord)
+    }
+}
+
+/// A shared [`ReplayImage`] that passed [`ReplayImage::validate`] — the
+/// proof [`crate::Simulator::try_simulate_verified`] asks for instead of
+/// validating again. [`VerifiedImage::new`] is the only constructor and
+/// it validates, so no unchecked image can reach that walk. The image is
+/// immutable behind its `Arc`, so the proof holds for every clone and
+/// every later replay.
+#[derive(Debug, Clone)]
+pub struct VerifiedImage(Arc<ReplayImage>);
+
+impl VerifiedImage {
+    /// Validates `image` and, if it is well-formed, wraps it as proven.
+    pub fn new(image: Arc<ReplayImage>) -> Result<Self, SimError> {
+        image.validate()?;
+        Ok(VerifiedImage(image))
+    }
+
+    /// The proven image's `Arc`.
+    pub fn shared(&self) -> &Arc<ReplayImage> {
+        &self.0
+    }
+
+    /// Gives up the proof and returns the image's `Arc`.
+    pub fn into_inner(self) -> Arc<ReplayImage> {
+        self.0
+    }
+}
+
+impl std::ops::Deref for VerifiedImage {
+    type Target = ReplayImage;
+
+    fn deref(&self) -> &ReplayImage {
+        &self.0
     }
 }
 

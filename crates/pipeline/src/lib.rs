@@ -20,12 +20,15 @@
 //! * cycle attribution (see [`attribution`]): every replayed cycle charged
 //!   to exactly one stall bucket in the [`StallBreakdown`] carried by each
 //!   [`SimResult`], with `sum(buckets) == cycles` guaranteed;
-//! * a guarded replay path ([`Simulator::try_simulate_image`]) that verifies
-//!   image integrity ([`ReplayImage::validate`], checksums via [`hash`]),
-//!   bounds-checks the pre-resolved dependence walk, and enforces a
-//!   deterministic cycle-budget watchdog plus injected stalls through
-//!   [`RunGuards`] — returning structured [`SimError`]s instead of
-//!   panicking, so a supervisor can retry or degrade.
+//! * a guarded replay path that bounds-checks the pre-resolved dependence
+//!   walk and enforces a deterministic cycle-budget watchdog plus injected
+//!   stalls through [`RunGuards`] — returning structured [`SimError`]s
+//!   instead of panicking, so a supervisor can retry or degrade.
+//!   [`Simulator::try_simulate_image`] validates its images first
+//!   ([`ReplayImage::validate`]) on every call;
+//!   [`Simulator::try_simulate_verified`] takes a [`VerifiedImage`], whose
+//!   only constructor validates, so an image proven once (checksums via
+//!   [`hash`]) is replayed on every later job without re-checking.
 //!
 //! ## Example
 //!
@@ -73,7 +76,7 @@ pub use config::{IssuePolicy, PipelineConfig};
 pub use costmodel::CostBounds;
 pub use engine::{RunGuards, Simulator, StallInjection};
 pub use hash::WordHash;
-pub use image::{AuditSabotage, ReplayImage, Sabotage};
+pub use image::{AuditSabotage, ReplayImage, Sabotage, VerifiedImage};
 pub use latency::{Latency, LatencyTable};
 pub use lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 pub use predictor::{BranchPredictor, PredictorStats};

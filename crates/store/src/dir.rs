@@ -14,12 +14,12 @@
 //! never interprets the hash: key semantics (and the hash itself) live
 //! with the caller.
 
-use crate::format::{decode_file, encode_file, StoreError, StoredImage};
+use crate::format::{decode_file, decode_verified, encode_file, StoreError, StoredImage};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use valign_pipeline::ReplayImage;
+use valign_pipeline::{ReplayImage, VerifiedImage};
 
 /// Extension of every image file in a store directory.
 const EXTENSION: &str = "vimg";
@@ -97,14 +97,14 @@ impl StoreDir {
     /// Loads and fully verifies the image stored for `hash`.
     /// [`StoreError::Missing`] is the clean miss; every other error means
     /// a file exists but cannot be trusted.
-    pub fn load(&self, hash: u64) -> Result<StoredImage, StoreError> {
+    pub fn load(&self, hash: u64) -> Result<StoredImage<VerifiedImage>, StoreError> {
         let path = self.path_for(hash);
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
             Err(e) => return Err(io_err(&path, &e)),
         };
-        decode_file(&bytes)
+        decode_verified(&bytes)
     }
 
     /// Atomically and durably writes `image` (with its build-time content

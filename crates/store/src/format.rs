@@ -35,9 +35,10 @@
 //! set is closed, so an unexpected id means corruption, not extension.
 
 use std::fmt;
+use std::sync::Arc;
 use valign_pipeline::hash::WordHash;
 use valign_pipeline::image::wire;
-use valign_pipeline::ReplayImage;
+use valign_pipeline::{ReplayImage, VerifiedImage};
 
 /// File magic, first 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"VALIGNIM";
@@ -175,11 +176,12 @@ impl std::error::Error for StoreError {}
 
 /// A successfully loaded store file: the decoded image plus the content
 /// checksum its header carried (already verified against the decoded
-/// arrays).
+/// arrays). `I` is a plain [`ReplayImage`] from [`decode_file`] and a
+/// [`VerifiedImage`] from [`decode_verified`] and [`crate::StoreDir::load`].
 #[derive(Debug, Clone)]
-pub struct StoredImage {
+pub struct StoredImage<I = ReplayImage> {
     /// The decoded, validated replay image.
-    pub image: ReplayImage,
+    pub image: I,
     /// Its content checksum ([`ReplayImage::checksum`]), as recorded at
     /// build time and re-verified at decode.
     pub checksum: u64,
@@ -278,6 +280,17 @@ struct Entry {
 /// the module docs). Returns the decoded image or the first failing
 /// rung's [`StoreError`]; never panics on hostile bytes.
 pub fn decode_file(bytes: &[u8]) -> Result<StoredImage, StoreError> {
+    let StoredImage { image, checksum } = decode_verified(bytes)?;
+    Ok(StoredImage {
+        image: Arc::unwrap_or_clone(image.into_inner()),
+        checksum,
+    })
+}
+
+/// [`decode_file`] that keeps the validation it ran as proof: the image
+/// comes back as a [`VerifiedImage`], which the supervised replay path
+/// trusts without validating it again.
+pub fn decode_verified(bytes: &[u8]) -> Result<StoredImage<VerifiedImage>, StoreError> {
     let need = |expected: usize| -> Result<(), StoreError> {
         if bytes.len() < expected {
             Err(StoreError::Truncated {
@@ -424,7 +437,7 @@ pub fn decode_file(bytes: &[u8]) -> Result<StoredImage, StoreError> {
             actual,
         });
     }
-    image.validate().map_err(|e| StoreError::Invalid {
+    let image = VerifiedImage::new(image.into_shared()).map_err(|e| StoreError::Invalid {
         detail: e.to_string(),
     })?;
     Ok(StoredImage {

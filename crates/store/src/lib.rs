@@ -44,6 +44,6 @@ pub mod format;
 
 pub use dir::{FileVerdict, ImageSummary, StoreDir, VerifyReport, WalkEntry, WriteFault};
 pub use format::{
-    decode_file, encode_file, sabotage_file_bytes, StoreError, StoredImage, FORMAT_VERSION, MAGIC,
-    SECTION_ALIGN,
+    decode_file, decode_verified, encode_file, sabotage_file_bytes, StoreError, StoredImage,
+    FORMAT_VERSION, MAGIC, SECTION_ALIGN,
 };
