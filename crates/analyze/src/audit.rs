@@ -5,7 +5,7 @@
 //! * [`audit_store`] walks a persistent image store directory
 //!   ([`valign_store::StoreDir`]): every `.vimg` file is decoded through
 //!   the real loader (the full integrity ladder), its content checksum
-//!   re-derived from the decoded arrays, the three static `image-*` rules
+//!   re-derived from the decoded arrays, the two static `image-*` rules
 //!   run ([`crate::analyze_image`]), and — when the image is clean — the
 //!   zero-simulation cost-model bounds of [`crate::costmodel`] computed
 //!   for every Table II configuration. **No trace is recorded and no
@@ -76,7 +76,7 @@ pub struct FileAudit {
     /// verifies this; the audit re-derives it independently so the
     /// verdict does not rest on the loader's own bookkeeping.)
     pub checksum_rederived: bool,
-    /// Findings of the three static `image-*` rules.
+    /// Findings of the two static `image-*` rules.
     pub diagnostics: Vec<Diagnostic>,
     /// Static cost-model bounds per Table II configuration — computed
     /// only when the image passed the rules clean (the bound walk trusts

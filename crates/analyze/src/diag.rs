@@ -18,8 +18,9 @@ use valign_core::serve::protocol::escape_json;
 /// backwards-compatible and does not bump it.
 ///
 /// Version 2 replaced the two structural image rules (bitset and side
-/// array) with `image-structure`.
-pub const SCHEMA_VERSION: u32 = 2;
+/// array) with `image-structure`; version 3 folded `image-deps` into
+/// `image-dep-oracle`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The closed set of stable rule names, one per module of
 /// [`crate::rules`] and in the same run order as
@@ -40,8 +41,6 @@ pub enum RuleName {
     LatencyCompleteness,
     /// `image-structure`
     ImageStructure,
-    /// `image-deps`
-    ImageDeps,
     /// `image-dep-oracle`
     ImageDepOracle,
     /// `attribution-conservation`
@@ -61,7 +60,6 @@ impl RuleName {
         RuleName::MemoryDependence,
         RuleName::LatencyCompleteness,
         RuleName::ImageStructure,
-        RuleName::ImageDeps,
         RuleName::ImageDepOracle,
         RuleName::AttributionConservation,
         RuleName::OutcomeConsistency,
@@ -77,7 +75,6 @@ impl RuleName {
             RuleName::MemoryDependence => "memory-dependence",
             RuleName::LatencyCompleteness => "latency-completeness",
             RuleName::ImageStructure => "image-structure",
-            RuleName::ImageDeps => "image-deps",
             RuleName::ImageDepOracle => "image-dep-oracle",
             RuleName::AttributionConservation => "attribution-conservation",
             RuleName::OutcomeConsistency => "outcome-consistency",

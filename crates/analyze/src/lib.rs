@@ -8,7 +8,7 @@
 //! against — so a modelling bug surfaces as a named diagnostic instead of
 //! a silently wrong cycle count.
 //!
-//! Eleven rules (see [`rules`]):
+//! Ten rules (see [`rules`]):
 //!
 //! | rule | checks | gate |
 //! |------|--------|------|
@@ -17,14 +17,13 @@
 //! | `register-def-use` | read-before-write, producer wiring, dead vector defs | mixed |
 //! | `memory-dependence` | store→load overlaps vs the LSU's ordering model | WARNING |
 //! | `latency-completeness` | every observed opcode in all Table II tables | ERROR |
-//! | `image-structure` | every [`ReplayImage::violations`] finding: array lengths, masks, cursors, opcode/unit/flag domains, producer bounds | ERROR |
-//! | `image-deps` | dependence lists acyclic, in bounds, inside the LSU window | ERROR |
-//! | `image-dep-oracle` | dependence lists == recomputed store-queue oracle | ERROR |
+//! | `image-structure` | every [`ReplayImage::violations`] finding: array lengths, masks, cursors, opcode/flag domains, producer distances | ERROR |
+//! | `image-dep-oracle` | dependence lists == recomputed store-queue oracle (so also in bounds, acyclic, inside the LSU window) | ERROR |
 //! | `attribution-conservation` | stall buckets sum exactly to replay cycles | ERROR |
 //! | `outcome-consistency` | clean supervised replay: thread-count invariant, all Completed, `==` direct replay | ERROR |
 //! | `costmodel-soundness` | measured attribution inside the static cost-model bounds | ERROR |
 //!
-//! The three `image-*` rules are *static audit* rules over a packed
+//! The two `image-*` rules are *static audit* rules over a packed
 //! [`ReplayImage`] — they need no trace and run equally on images decoded
 //! from `.vimg` store files ([`audit`], the engine of `valign audit`).
 //! The conservation, outcome and costmodel-soundness rules replay the
@@ -168,13 +167,12 @@ impl<'a> ImageCtx<'a> {
     }
 }
 
-/// Runs the three static image audit rules over one packed image — no
+/// Runs the two static image audit rules over one packed image — no
 /// trace, no simulation. The engine of `valign audit`; also folded into
 /// every `valign lint` run by [`analyze_trace_with_image`].
 pub fn analyze_image(ctx: &ImageCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     out.extend(rules::image_structure::check(ctx));
-    out.extend(rules::image_deps::check(ctx));
     out.extend(rules::image_dep_oracle::check(ctx));
     out
 }

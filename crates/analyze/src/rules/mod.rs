@@ -18,7 +18,6 @@ pub mod conservation;
 pub mod costmodel;
 pub mod defuse;
 pub mod image_dep_oracle;
-pub mod image_deps;
 pub mod image_structure;
 pub mod latency;
 pub mod memdep;
@@ -36,7 +35,6 @@ pub const ALL_RULES: &[&str] = &[
     memdep::RULE,
     latency::RULE,
     image_structure::RULE,
-    image_deps::RULE,
     image_dep_oracle::RULE,
     conservation::RULE,
     outcome::RULE,

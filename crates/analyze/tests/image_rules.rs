@@ -5,13 +5,15 @@
 //! images built from every kernel × variant audit with zero diagnostics.
 
 use proptest::prelude::*;
-use valign_analyze::rules::{image_dep_oracle, image_deps, image_structure};
-use valign_analyze::{analyze_image, Diagnostic, ImageCtx, Severity};
+use valign_analyze::rules::costmodel;
+use valign_analyze::rules::{image_dep_oracle, image_structure};
+use valign_analyze::{analyze_image, Diagnostic, ImageCtx, Severity, TraceCtx};
 use valign_core::workload::{trace_kernel, KernelId};
 use valign_isa::{DynInstr, Gpr, MemKind, MemRef, Opcode, Reg, SrcRef, StaticId, Trace};
 use valign_kernels::util::Variant;
-use valign_pipeline::{AuditSabotage, ReplayImage};
-use valign_vm::MEM_BASE;
+use valign_pipeline::image::NO_DEF;
+use valign_pipeline::{AuditSabotage, PipelineConfig, ReplayImage, RunGuards, Simulator};
+use valign_vm::{Vm, MEM_BASE};
 
 fn g(i: u8) -> Reg {
     Reg::Gpr(Gpr::new(i))
@@ -87,28 +89,22 @@ fn mask_popcount_lie_is_caught_by_image_structure() {
 }
 
 #[test]
-fn dependence_cycle_is_caught_by_image_deps() {
+fn dependence_cycle_is_caught_by_image_dep_oracle() {
     let mut image = ReplayImage::build(&synthetic_trace());
     assert!(image.sabotage_audit(AuditSabotage::DepCycle));
     let diags = audit(&image);
-    let errs = errors_of(&diags, image_deps::RULE);
+    let errs = errors_of(&diags, image_dep_oracle::RULE);
     assert_eq!(errs.len(), 1, "diags: {diags:?}");
     assert!(errs[0].message.contains("forward (cyclic) dependence"));
     assert!(errs[0].instr_index.is_some(), "names the offending load");
-    // The rewritten ordinal no longer matches the store-queue oracle
-    // either — the redundancy is the point.
-    assert!(
-        !errors_of(&diags, image_dep_oracle::RULE).is_empty(),
-        "oracle rule must disagree with the sabotaged list: {diags:?}"
-    );
 }
 
 #[test]
-fn out_of_range_dependence_is_caught_by_image_deps() {
+fn out_of_range_dependence_is_caught_by_image_dep_oracle() {
     let mut image = ReplayImage::build(&synthetic_trace());
     assert!(image.sabotage_audit(AuditSabotage::DepOutOfRange));
     let diags = audit(&image);
-    let errs = errors_of(&diags, image_deps::RULE);
+    let errs = errors_of(&diags, image_dep_oracle::RULE);
     assert_eq!(errs.len(), 1, "diags: {diags:?}");
     assert!(
         errs[0].message.contains("out of bounds"),
@@ -125,9 +121,47 @@ fn truncated_side_array_is_caught_by_image_structure() {
     let errs = errors_of(&diags, image_structure::RULE);
     assert!(
         errs.iter()
-            .any(|d| d.message.contains("side array units") && d.message.contains("truncated")),
+            .any(|d| d.message.contains("side array sids") && d.message.contains("truncated")),
         "diags: {diags:?}"
     );
+}
+
+/// The image stores producers as 16-bit back-distances and drops one
+/// farther back than `u16::MAX`. That is exact because no in-flight
+/// window reaches so far: every replay path agrees with the reference
+/// walker, and the cost model stays sound.
+#[test]
+fn producers_beyond_sixteen_bits_replay_exactly_and_stay_sound() {
+    let mut vm = Vm::new();
+    let x = vm.li(1);
+    let far = usize::from(u16::MAX);
+    for _ in 1..far {
+        let _ = vm.li(0);
+    }
+    let _ = vm.addi(x, 1); // record 65,535: its producer is exactly u16::MAX back
+    for _ in far + 1..70_000 {
+        let _ = vm.li(0);
+    }
+    let _ = vm.addi(x, 2); // record 70,000: 70,000 back
+    let trace = vm.take_trace();
+    let image = ReplayImage::build(&trace);
+    assert_eq!(trace.instrs()[far].source_defs().next(), Some(0));
+    assert_eq!(trace.instrs()[70_000].source_defs().next(), Some(0));
+    assert_eq!(image.src_defs()[far][0], u16::MAX);
+    assert_eq!(image.src_defs()[70_000][0], NO_DEF);
+    image.validate().expect("clean image");
+
+    for cfg in PipelineConfig::table_ii() {
+        let reference = Simulator::simulate_reference(cfg.clone(), Some(&trace), &trace);
+        let plain = Simulator::simulate_image(cfg.clone(), Some(&image), &image);
+        let guarded =
+            Simulator::try_simulate_image(cfg.clone(), Some(&image), &image, &RunGuards::default());
+        assert_eq!(plain, reference, "{}", cfg.name);
+        assert_eq!(guarded, Ok(reference), "{}", cfg.name);
+    }
+    let ctx = TraceCtx::new(&trace, "far-producer", Variant::Scalar, None);
+    let diags = costmodel::check(&ctx, &image);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! | `truncate`     | per-record arrays shortened             | static validation |
 //! | `bitflip`      | flag byte flipped                       | static validation |
 //! | `image-corrupt`| dependence cursor bent, stale checksum  | checksum verification |
-//! | `lsu-overflow` | dependence ordinal outside store window | guarded replay walk |
+//! | `lsu-overflow` | dependence ordinal outside store window (a producer before record 0 when there is no list) | guarded replay walk (static validation) |
 //! | `disk-corrupt` | stored image file bytes corrupted       | store integrity ladder (`valign-store`) |
 //! | `io-error`     | store write-back fails outright         | write-failure stat, memory-tier fallback |
 //! | `short-write`  | store write-back tears mid-file         | atomic temp-file discipline (never renamed) |

@@ -712,7 +712,8 @@ mod tests {
         // Each class lands on its designed rung (the `faults` table). An
         // LSU-window overflow needs a dependence list to bend; on an image
         // without one (the scalar variant here) it falls back to a
-        // dangling producer, which the same guarded walk catches.
+        // producer distance reaching before record 0, which the static
+        // rung refuses.
         fn has_dep_lists(image: &ReplayImage) -> bool {
             (0..image.memory_records()).any(|c| !image.mem_deps_at(c).is_empty())
         }
@@ -731,7 +732,8 @@ mod tests {
                 if has_dep_lists(image) {
                     matches!(e, SimError::DepOutOfWindow { .. })
                 } else {
-                    matches!(e, SimError::DanglingProducer { .. })
+                    matches!(e, SimError::CorruptImage { detail, .. }
+                        if detail.contains("reaches before record 0"))
                 }
             }),
             ("disk-corrupt:*", |e, _| {

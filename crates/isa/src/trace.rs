@@ -27,8 +27,12 @@ use std::fmt;
 /// program counter; every static emission site receives a stable id instead
 /// and dynamic instances of the same site share it. The branch predictor
 /// and I-fetch model index on this value exactly as they would on a PC.
+///
+/// Sixteen bits: sites come from kernel source, not from the workload
+/// size, so a program has a fixed handful of them (about a hundred), and
+/// the replay image stores one per record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct StaticId(pub u32);
+pub struct StaticId(pub u16);
 
 impl StaticId {
     /// The synthetic word address used where a numeric PC is required.
@@ -354,7 +358,7 @@ mod tests {
     use super::*;
     use crate::reg::{Gpr, Vpr};
 
-    fn sid(n: u32) -> StaticId {
+    fn sid(n: u16) -> StaticId {
         StaticId(n)
     }
 

@@ -8,6 +8,7 @@ use crate::config::{IssuePolicy, PipelineConfig};
 use crate::frontend::CyclePacker;
 use crate::image::NO_DEF;
 use std::collections::VecDeque;
+use valign_isa::Opcode;
 
 /// Pool of identical fully-pipelined unit instances.
 #[derive(Debug, Clone)]
@@ -59,6 +60,9 @@ pub(crate) struct Ready {
 #[derive(Debug)]
 pub(crate) struct Backend {
     units: Vec<UnitPool>,
+    /// Dense unit index of each opcode, by [`Opcode::index`]: the replay
+    /// image stores no unit column, so the walk looks it up here.
+    unit_of: [u8; Opcode::COUNT],
     // Issue-queue occupancy rings (dispatch blocks until the entry
     // `queue_size` older has issued).
     iq_ring: VecDeque<u64>,
@@ -90,6 +94,7 @@ impl Backend {
         let window = cfg.inflight.max(1) as usize;
         Backend {
             units: cfg.units.iter().map(|&c| UnitPool::new(c)).collect(),
+            unit_of: std::array::from_fn(|i| Opcode::ALL[i].unit().index() as u8),
             iq_ring: VecDeque::with_capacity(cfg.issue_queue as usize),
             iq_cap: cfg.issue_queue as usize,
             brq_ring: VecDeque::with_capacity(cfg.br_issue_queue as usize),
@@ -119,20 +124,14 @@ impl Backend {
         }
     }
 
-    /// Earliest cycle `idx` can issue given dispatch time, issue-queue
-    /// back-pressure, operand readiness and (for in-order machines)
-    /// program order. `defs` are the packed producer slots of the record
-    /// ([`NO_DEF`] marks an absent or external producer). Returns the
-    /// per-constraint [`Ready`] milestones; `after_order` is the earliest
-    /// issue cycle callers previously received.
+    /// Earliest cycle the next instruction can issue given dispatch time,
+    /// issue-queue back-pressure, operand readiness and (for in-order
+    /// machines) program order. `defs` are the record's producer
+    /// back-distances ([`NO_DEF`] marks a slot with no producer). Returns
+    /// the per-constraint [`Ready`] milestones; `after_order` is the
+    /// earliest issue cycle callers previously received.
     #[inline]
-    pub(crate) fn ready_at(
-        &mut self,
-        idx: usize,
-        is_branch: bool,
-        defs: &[u32; 3],
-        dispatch: u64,
-    ) -> Ready {
+    pub(crate) fn ready_at(&mut self, is_branch: bool, defs: &[u16; 3], dispatch: u64) -> Ready {
         let mut earliest = dispatch;
 
         // Issue-queue back-pressure.
@@ -143,19 +142,15 @@ impl Backend {
         }
         let after_queue = earliest;
 
-        // Operand readiness: true dataflow via producer indices (what the
-        // renamed machine recovers); producers outside the in-flight window
-        // completed long ago.
-        for &def in defs {
-            if def == NO_DEF {
-                continue;
-            }
-            let def = def as usize;
-            let age = idx - def;
-            if age <= self.window {
-                // def % window, derived from the maintained cursor by
-                // subtraction: age is in [1, window], so one conditional
-                // wrap suffices and no divide is emitted.
+        // Operand readiness: true dataflow via producer distances (what
+        // the renamed machine recovers); a distance is the producer's age,
+        // and producers outside the in-flight window completed long ago.
+        for &d in defs {
+            let age = usize::from(d);
+            if d != NO_DEF && age <= self.window {
+                // The producer's ring slot, derived from the maintained
+                // cursor by subtraction: age is in [1, window], so one
+                // conditional wrap suffices and no divide is emitted.
                 let mut def_slot = self.slot + self.window - age;
                 if def_slot >= self.window {
                     def_slot -= self.window;
@@ -175,9 +170,9 @@ impl Backend {
         }
     }
 
-    /// Books an instance of the execution unit with dense index `unit`.
-    pub(crate) fn acquire_unit(&mut self, unit: usize, earliest: u64) -> u64 {
-        self.units[unit].acquire(earliest)
+    /// Books an instance of the execution unit that services `op`.
+    pub(crate) fn acquire_unit(&mut self, op: Opcode, earliest: u64) -> u64 {
+        self.units[usize::from(self.unit_of[op.index()])].acquire(earliest)
     }
 
     /// Records the final issue cycle (after D-cache port arbitration) in

@@ -31,8 +31,11 @@ pub struct PipelineConfig {
     pub fetch_width: u32,
     /// Retire width (instructions per cycle).
     pub retire_width: u32,
-    /// Maximum in-flight instructions (fetched, not yet retired).
-    pub inflight: u32,
+    /// Maximum in-flight instructions (fetched, not yet retired). Sixteen
+    /// bits: the replay image stores each producer as a `u16` distance
+    /// back from its consumer, which is exact because a producer farther
+    /// back than this window imposes no constraint.
+    pub inflight: u16,
     /// Number of execution-unit instances per [`Unit`].
     pub units: [u32; Unit::COUNT],
     /// Physical integer registers (renaming pool, includes the 32

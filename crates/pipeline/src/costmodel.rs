@@ -163,9 +163,11 @@ pub fn bounds(image: &ReplayImage, cfg: &PipelineConfig) -> CostBounds {
                 *start = chain_start[rec];
             }
         };
-        for &def in &image.src_defs()[idx] {
-            if def != NO_DEF && (def as usize) < idx {
-                feed(def as usize, &mut base, &mut start);
+        for &d in &image.src_defs()[idx] {
+            if d != NO_DEF {
+                if let Some(producer) = idx.checked_sub(usize::from(d)) {
+                    feed(producer, &mut base, &mut start);
+                }
             }
         }
         if is_mem && !is_store {
@@ -281,7 +283,7 @@ mod tests {
         for i in 1..10u32 {
             t.push(DynInstr::alu(
                 Opcode::Add,
-                StaticId(i),
+                StaticId(i as u16),
                 Some(Gpr::new(1).into()),
                 &[valign_isa::SrcRef::produced_by(Gpr::new(1).into(), i - 1)],
             ));

@@ -45,7 +45,7 @@ use crate::backend::{Backend, Ready};
 use crate::config::PipelineConfig;
 use crate::frontend::Frontend;
 use crate::image::{
-    dst_file_of, flags, mem_kind_of, src_defs_of, DstFile, ReplayImage, VerifiedImage, NO_DEF,
+    dst_file_of, flags, mem_kind_of, src_defs_of, DstFile, ReplayImage, VerifiedImage,
 };
 use crate::latency::LatencyTable;
 use crate::lsu::{Lsu, MemAccess, MemExec};
@@ -141,10 +141,8 @@ fn timeline_of(
 struct Record {
     sid: StaticId,
     dst: DstFile,
-    /// Producer index per source slot, [`NO_DEF`] when absent/external.
-    defs: [u32; 3],
-    /// Dense execution-unit index.
-    unit: usize,
+    /// Producer back-distance per source slot, `NO_DEF` when none.
+    defs: [u16; 3],
     op: Opcode,
     /// Load or store, for a memory record.
     mem: Option<MemKind>,
@@ -199,8 +197,7 @@ impl Records for &[DynInstr] {
         Record {
             sid: instr.sid,
             dst: dst_file_of(instr),
-            defs: src_defs_of(instr),
-            unit: instr.op.unit().index(),
+            defs: src_defs_of(instr, idx),
             op: instr.op,
             mem: instr.mem.map(|m| m.kind),
             is_branch: instr.branch.is_some(),
@@ -245,8 +242,7 @@ struct ImageRecords<'a> {
     image: &'a ReplayImage,
     flags: &'a [u8],
     sids: &'a [StaticId],
-    src_defs: &'a [[u32; 3]],
-    units: &'a [u8],
+    src_defs: &'a [[u16; 3]],
     ops: &'a [Opcode],
     mem_addrs: &'a [u64],
     mem_bytes: &'a [u8],
@@ -261,7 +257,6 @@ impl<'a> ImageRecords<'a> {
             flags: &image.flags()[..image.len()],
             sids: image.sids(),
             src_defs: image.src_defs(),
-            units: image.units(),
             ops: image.ops(),
             mem_addrs: image.mem_addrs(),
             mem_bytes: image.mem_bytes(),
@@ -297,7 +292,6 @@ impl Records for ImageRecords<'_> {
             sid: self.sids[..n][idx],
             dst: DstFile::from_flags(f),
             defs: self.src_defs[..n][idx],
-            unit: usize::from(self.units[..n][idx]),
             op: self.ops[..n][idx],
             mem: (f & flags::MEM != 0).then_some(mem_kind_of(f)),
             is_branch: f & flags::BRANCH != 0,
@@ -421,7 +415,7 @@ impl Simulator {
 
     /// [`Simulator::try_simulate_image`] on images already proven
     /// well-formed: the same guarded walk (watchdog, injected stall,
-    /// producer and dependence-window checks) without validating again.
+    /// dependence-window check) without validating again.
     /// The supervisor proves each store entry once and replays it here
     /// on every job.
     pub fn try_simulate_verified(
@@ -506,8 +500,11 @@ impl Simulator {
     /// stages. Microarchitectural state (caches, predictor) persists
     /// across walks; per-replay stage state (queues, rings, packers) is
     /// rebuilt here. `GUARDED` is a const so the unguarded hot path
-    /// compiles with the injected stall, the producer check, the
-    /// dependence-window check and the watchdog removed.
+    /// compiles with the injected stall, the dependence-window check and
+    /// the watchdog removed. No producer check is needed: the only
+    /// impossible producer distance, one reaching before record 0, is
+    /// refused by validation before any image reaches the guarded walk,
+    /// and the reference source derives its distances itself.
     fn walk<R: Records, const GUARDED: bool>(
         &mut self,
         mut records: R,
@@ -541,23 +538,12 @@ impl Simulator {
                         dispatch += stall.cycles;
                     }
                 }
-                // A producer at or after its consumer is impossible in a
-                // recorded trace; catch it before the scoreboard's
-                // window-distance arithmetic would misread the rings.
-                for &def in &rec.defs {
-                    if def != NO_DEF && def as usize >= idx {
-                        return Err(SimError::DanglingProducer {
-                            index: idx,
-                            producer: def,
-                        });
-                    }
-                }
             }
             let is_branch = rec.is_branch;
-            let ready = backend.ready_at(idx, is_branch, &rec.defs, dispatch);
+            let ready = backend.ready_at(is_branch, &rec.defs, dispatch);
 
             // ---- unit + ports ----
-            let unit_at = backend.acquire_unit(rec.unit, ready.after_order);
+            let unit_at = backend.acquire_unit(rec.op, ready.after_order);
             let issue_cycle = match rec.mem {
                 Some(kind) => lsu.acquire_port(kind, unit_at),
                 None => unit_at,
@@ -1041,19 +1027,6 @@ mod tests {
         )
         .expect_err("the checked dependence walk must catch it");
         assert!(matches!(err, SimError::DepOutOfWindow { .. }), "{err}");
-
-        let mut img = ReplayImage::build(&trace);
-        assert!(img.sabotage(Sabotage::DanglingDef, 23));
-        img.validate()
-            .expect("dangling def passes static validation");
-        let err = Simulator::try_simulate_image(
-            PipelineConfig::four_way(),
-            None,
-            &img,
-            &RunGuards::default(),
-        )
-        .expect_err("the producer check must catch it");
-        assert!(matches!(err, SimError::DanglingProducer { .. }), "{err}");
     }
 
     #[test]
@@ -1076,6 +1049,7 @@ mod tests {
             Sabotage::Truncate,
             Sabotage::FlagBitFlip,
             Sabotage::CursorCorrupt,
+            Sabotage::DanglingDef,
         ] {
             for site in 0..8 {
                 let mut img = clean.clone();
@@ -1089,23 +1063,15 @@ mod tests {
             }
         }
 
-        // The runtime-only faults pass validation, so they get a proof —
-        // and the guarded walk on the proven image still stops them.
-        for (kind, site) in [(Sabotage::DepOverflow, 11), (Sabotage::DanglingDef, 23)] {
-            let mut img = clean.clone();
-            assert!(img.sabotage(kind, site));
-            let proven = VerifiedImage::new(img.into_shared())
-                .unwrap_or_else(|e| panic!("{kind:?} passes static validation, got {e}"));
-            let err =
-                Simulator::try_simulate_verified(cfg.clone(), Some(&proven), &proven, &guards)
-                    .expect_err("the guarded walk must catch it");
-            match kind {
-                Sabotage::DepOverflow => {
-                    assert!(matches!(err, SimError::DepOutOfWindow { .. }), "{err}");
-                }
-                _ => assert!(matches!(err, SimError::DanglingProducer { .. }), "{err}"),
-            }
-        }
+        // The runtime-only fault passes validation, so it gets a proof —
+        // and the guarded walk on the proven image still stops it.
+        let mut img = clean.clone();
+        assert!(img.sabotage(Sabotage::DepOverflow, 11));
+        let proven = VerifiedImage::new(img.into_shared())
+            .unwrap_or_else(|e| panic!("DepOverflow passes static validation, got {e}"));
+        let err = Simulator::try_simulate_verified(cfg, Some(&proven), &proven, &guards)
+            .expect_err("the guarded walk must catch it");
+        assert!(matches!(err, SimError::DepOutOfWindow { .. }), "{err}");
     }
 
     #[test]
@@ -1117,16 +1083,21 @@ mod tests {
             let _ = vm.addi(a, 2);
         }
         let trace = vm.take_trace();
-        let mut img = ReplayImage::build(&trace);
-        assert!(img.sabotage(Sabotage::Truncate, 9));
-        let err = Simulator::try_simulate_image(
-            PipelineConfig::two_way(),
-            None,
-            &img,
-            &RunGuards::default(),
-        )
-        .expect_err("truncated image must be rejected up front");
-        assert!(matches!(err, SimError::CorruptImage { .. }), "{err}");
+        for kind in [Sabotage::Truncate, Sabotage::DanglingDef] {
+            let mut img = ReplayImage::build(&trace);
+            assert!(img.sabotage(kind, 9));
+            let err = Simulator::try_simulate_image(
+                PipelineConfig::two_way(),
+                None,
+                &img,
+                &RunGuards::default(),
+            )
+            .expect_err("a statically corrupt image must be rejected up front");
+            assert!(
+                matches!(err, SimError::CorruptImage { .. }),
+                "{kind:?}: {err}"
+            );
+        }
     }
 
     #[test]

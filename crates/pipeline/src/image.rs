@@ -11,14 +11,17 @@
 //!
 //! [`ReplayImage::build`] compiles a trace once into dense side arrays:
 //!
-//! * per-record **opcode**, **unit index** and **flag byte** (touches
-//!   memory / store / branch / has destination / destination file /
-//!   unaligned vector access) — everything the engine previously derived
-//!   per instruction through `Opcode` match chains or `Option` probing is
-//!   resolved at build time;
-//! * **source producer indices** packed into three fixed `u32` slots
-//!   ([`NO_DEF`] marks an absent or external producer), so operand
-//!   readiness needs no `Option` unwrapping;
+//! * per-record **opcode**, **static site** (`u16`) and **flag byte**
+//!   (touches memory / store / branch / has destination / destination
+//!   file / unaligned vector access) — everything the engine previously
+//!   derived per instruction through `Option` probing is resolved at build
+//!   time, and the execution unit is a table lookup on the opcode;
+//! * **source producers** as three `u16` back-distances per record
+//!   (`idx − producer`; [`NO_DEF`] marks a slot with no producer in
+//!   reach), which the scoreboard uses directly as the producer's age, so
+//!   operand readiness needs no `Option` unwrapping and no subtraction.
+//!   Opcode, flags, site and producers make a record's fixed part 10
+//!   bytes (1 + 1 + 2 + 6);
 //! * **memory references** (`addr`, `bytes`) and **branch outcomes**
 //!   (taken / unconditional bitsets) in *compact* parallel arrays holding
 //!   one entry per memory/branch record, with per-record presence recorded
@@ -41,18 +44,20 @@
 //!
 //! Invariants (established by `build`, relied on by the engine):
 //!
-//! * array lengths: `ops`, `units`, `flags`, `sids`, `src_defs` all equal
+//! * array lengths: `ops`, `flags`, `sids`, `src_defs` all equal
 //!   [`ReplayImage::len`]; `mem_addrs`/`mem_bytes` have one entry per set
 //!   bit of `mem_mask`; `branch_taken`/`branch_uncond` one bit per set bit
 //!   of `branch_mask`, in record order;
-//! * opcode domains: `units[i]` is the unit of `ops[i]`; `MEM` is set
-//!   exactly on opcodes that touch memory and `STORE` exactly on stores;
-//!   `UNALIGNED` implies `MEM` and an unaligned-capable opcode; `DST_VPR`
-//!   implies `HAS_DST`;
+//! * opcode domains: `MEM` is set exactly on opcodes that touch memory
+//!   and `STORE` exactly on stores; `UNALIGNED` implies `MEM` and an
+//!   unaligned-capable opcode; `DST_VPR` implies `HAS_DST`;
 //! * presence: a record's `MEM`/`BRANCH` flags agree with its bits in
 //!   `mem_mask`/`branch_mask`, and no mask bit sits past the last record;
-//! * `src_defs` slots are the recorded producer indices (`< len`) or
-//!   [`NO_DEF`], in the record's slot order;
+//! * `src_defs[idx]` holds, in the record's slot order, back-distances
+//!   `d` with `1 ≤ d ≤ idx` (producer `idx − d`), or [`NO_DEF`] for a
+//!   slot that is absent, external, or farther back than `u16::MAX` —
+//!   beyond every in-flight window (`PipelineConfig::inflight` is a
+//!   `u16`), so dropping it is exact;
 //! * `mem_dep_offsets` has `memory_records() + 1` entries; the `c`-th
 //!   memory record's dependence list is
 //!   `mem_deps[offsets[c]..offsets[c+1]]`, holding the ordinals (0-based
@@ -64,8 +69,8 @@
 //! behind both [`ReplayImage::validate`] and the `valign-analyze`
 //! `image-structure` rule. It checks all of them except the content of
 //! the dependence lists, which the guarded replay walk checks
-//! ([`SimError::DepOutOfWindow`]) and the `image-deps` and
-//! `image-dep-oracle` audit rules re-derive.
+//! ([`SimError::DepOutOfWindow`]) and the `image-dep-oracle` audit rule
+//! re-derives.
 
 use crate::hash::WordHash;
 use crate::lsu::{ranges_overlap, STORE_QUEUE_TRACK};
@@ -74,9 +79,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace};
 
-/// Sentinel producer index: the source slot is absent or its producer is
-/// outside the trace.
-pub const NO_DEF: u32 = u32::MAX;
+/// Sentinel producer distance: the source slot has no producer in reach
+/// (absent, external to the trace, or farther back than `u16::MAX`).
+pub const NO_DEF: u16 = 0;
 
 /// Cap on the per-record findings one image check reports
 /// ([`ReplayImage::violations`] and the per-site `valign-analyze` image
@@ -103,21 +108,20 @@ pub mod flags {
 /// Wire-format description of the packed arrays, shared with the
 /// `valign-store` on-disk container.
 ///
-/// Each of the image's thirteen arrays is one *section*: a little-endian
+/// Each of the image's twelve arrays is one *section*: a little-endian
 /// byte payload of fixed-width elements. Section ids match the
 /// domain-separation tags of [`ReplayImage::checksum`] — tag 1, the
 /// record count, is not a section; it travels in the container header
-/// next to the image checksum.
+/// next to the image checksum. Tag 3 is retired: format version 1 stored
+/// a per-record unit column there, which the opcode already determines.
 pub mod wire {
     /// Opcode per record, `u16` ([`valign_isa::Opcode::index`]).
     pub const OPS: u32 = 2;
-    /// Execution-unit index per record, `u8`.
-    pub const UNITS: u32 = 3;
     /// Flag byte per record, `u8` (see [`super::flags`]).
     pub const FLAGS: u32 = 4;
-    /// Static site per record, `u32`.
+    /// Static site per record, `u16`.
     pub const SIDS: u32 = 5;
-    /// Producer indices, three `u32` per record (12-byte elements).
+    /// Producer back-distances, three `u16` per record (6-byte elements).
     pub const SRC_DEFS: u32 = 6;
     /// Memory-presence bitset, `u64` words.
     pub const MEM_MASK: u32 = 7;
@@ -139,7 +143,6 @@ pub mod wire {
     /// Every section id, in file order.
     pub const ALL: &[u32] = &[
         OPS,
-        UNITS,
         FLAGS,
         SIDS,
         SRC_DEFS,
@@ -157,11 +160,11 @@ pub mod wire {
     /// format version does not define.
     pub fn elem_bytes(id: u32) -> Option<u32> {
         match id {
-            UNITS | FLAGS | MEM_BYTES => Some(1),
-            OPS => Some(2),
-            SIDS | MEM_DEP_OFFSETS | MEM_DEPS => Some(4),
+            FLAGS | MEM_BYTES => Some(1),
+            OPS | SIDS => Some(2),
+            MEM_DEP_OFFSETS | MEM_DEPS => Some(4),
+            SRC_DEFS => Some(6),
             MEM_MASK | BRANCH_MASK | MEM_ADDRS | BRANCH_TAKEN | BRANCH_UNCOND => Some(8),
-            SRC_DEFS => Some(12),
             _ => None,
         }
     }
@@ -170,7 +173,6 @@ pub mod wire {
     pub fn name(id: u32) -> &'static str {
         match id {
             OPS => "ops",
-            UNITS => "units",
             FLAGS => "flags",
             SIDS => "sids",
             SRC_DEFS => "src_defs",
@@ -200,10 +202,11 @@ pub enum AuditSabotage {
     /// (`image-structure`, and so also [`ReplayImage::validate`]).
     MaskPopcountLie,
     /// Rewrites a load's dependence ordinal to a store that executes
-    /// *after* the load — a forward (cyclic) dependence (`image-deps`).
+    /// *after* the load — a forward (cyclic) dependence
+    /// (`image-dep-oracle`).
     DepCycle,
     /// Rewrites a dependence ordinal far beyond any store in the image
-    /// (`image-deps`).
+    /// (`image-dep-oracle`).
     DepOutOfRange,
     /// Truncates a dense per-record side array below the record count
     /// (`image-structure`, and so also [`ReplayImage::validate`]).
@@ -225,9 +228,10 @@ pub enum Sabotage {
     /// (cursor corruption).
     CursorCorrupt,
     /// Rewrites a store-to-load dependence ordinal to one far outside the
-    /// LSU's trailing store window.
+    /// LSU's trailing store window. On an image with no dependence list
+    /// to bend it falls back to [`Sabotage::DanglingDef`].
     DepOverflow,
-    /// Points a record's first source slot at a producer at/after itself.
+    /// Sets a record's first producer distance to reach before record 0.
     DanglingDef,
 }
 
@@ -293,16 +297,14 @@ fn rank(words: &[u64], i: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ReplayImage {
     len: usize,
-    /// Opcode per record (1 byte each) — latency lookups and display.
+    /// Opcode per record (1 byte each) — latency and unit lookups, display.
     ops: Vec<Opcode>,
-    /// Execution-unit index per record (`Unit::index()` pre-resolved).
-    units: Vec<u8>,
     /// Flag byte per record (see [`flags`]).
     flags: Vec<u8>,
     /// Static site per record (synthetic PC = `sid << 2`).
     sids: Vec<StaticId>,
-    /// Producer index per source slot, [`NO_DEF`] when absent/external.
-    src_defs: Vec<[u32; 3]>,
+    /// Producer back-distance per source slot, [`NO_DEF`] when none.
+    src_defs: Vec<[u16; 3]>,
     /// Presence bitset over records: which records access memory.
     mem_mask: Vec<u64>,
     /// Presence bitset over records: which records are branches.
@@ -333,7 +335,6 @@ impl ReplayImage {
         let mut img = ReplayImage {
             len: n,
             ops: Vec::with_capacity(n),
-            units: Vec::with_capacity(n),
             flags: Vec::with_capacity(n),
             sids: Vec::with_capacity(n),
             src_defs: Vec::with_capacity(n),
@@ -400,10 +401,9 @@ impl ReplayImage {
                 None => {}
             }
             img.ops.push(instr.op);
-            img.units.push(instr.op.unit().index() as u8);
             img.flags.push(f);
             img.sids.push(instr.sid);
-            img.src_defs.push(src_defs_of(instr));
+            img.src_defs.push(src_defs_of(instr, idx));
         }
         img.mem_dep_offsets.push(img.mem_deps.len() as u32);
         img
@@ -484,10 +484,9 @@ impl ReplayImage {
     /// Approximate heap footprint in bytes, for cache accounting.
     pub fn approx_bytes(&self) -> usize {
         self.ops.capacity()
-            + self.units.capacity()
             + self.flags.capacity()
             + self.sids.capacity() * std::mem::size_of::<StaticId>()
-            + self.src_defs.capacity() * std::mem::size_of::<[u32; 3]>()
+            + self.src_defs.capacity() * std::mem::size_of::<[u16; 3]>()
             + (self.mem_mask.capacity() + self.branch_mask.capacity()) * 8
             + self.mem_addrs.capacity() * 8
             + self.mem_bytes.capacity()
@@ -521,7 +520,6 @@ impl ReplayImage {
         };
         section(1, &mut std::iter::once(self.len as u64));
         section(2, &mut self.ops.iter().map(|op| op.index() as u64));
-        section(3, &mut self.units.iter().map(|&u| u64::from(u)));
         section(4, &mut self.flags.iter().map(|&f| u64::from(f)));
         section(5, &mut self.sids.iter().map(|s| u64::from(s.0)));
         section(
@@ -549,14 +547,16 @@ impl ReplayImage {
     /// finding, and `valign-analyze`'s `image-structure` rule reports all
     /// of them.
     ///
-    /// Whole-image checks: the five per-record array lengths, mask word
+    /// Whole-image checks: the four per-record array lengths, mask word
     /// counts and tail bits, mask popcounts against the compact arrays,
     /// and the dependence-offset count, monotonicity and end. Per-record
     /// checks (over the common prefix of the per-record arrays): flags
-    /// against both presence masks; unit, `MEM`/`STORE` and `UNALIGNED`
-    /// against the opcode; `DST_VPR` implies `HAS_DST`; producer indices
-    /// in bounds. Per-record findings stop at [`MAX_RECORD_VIOLATIONS`],
-    /// followed by one summary of how many more there were.
+    /// against both presence masks; `MEM`/`STORE` and `UNALIGNED` against
+    /// the opcode; `DST_VPR` implies `HAS_DST`; no producer distance
+    /// reaches before record 0 (the only impossible distance, so the
+    /// guarded walk needs no producer check of its own). Per-record
+    /// findings stop at [`MAX_RECORD_VIOLATIONS`], followed by one summary
+    /// of how many more there were.
     ///
     /// Deliberately *not* checked here: whether dependence ordinals are
     /// in bounds, backward, and inside the LSU's trailing store window —
@@ -568,9 +568,8 @@ impl ReplayImage {
         let corrupt =
             |index: Option<usize>, detail: String| SimError::CorruptImage { index, detail };
         let mut out = Vec::new();
-        let lengths: [(&str, usize); 5] = [
+        let lengths: [(&str, usize); 4] = [
             ("ops", self.ops.len()),
-            ("units", self.units.len()),
             ("flags", self.flags.len()),
             ("sids", self.sids.len()),
             ("src_defs", self.src_defs.len()),
@@ -664,8 +663,8 @@ impl ReplayImage {
         }
 
         // Per-opcode expectations, resolved once rather than per record:
-        // (unit index, MEM/STORE bits, unaligned-capable).
-        let expect: [(u8, u8, bool); Opcode::COUNT] = std::array::from_fn(|i| {
+        // (MEM/STORE bits, unaligned-capable).
+        let expect: [(u8, bool); Opcode::COUNT] = std::array::from_fn(|i| {
             let op = Opcode::ALL[i];
             let mut mem_bits = 0;
             if op.touches_memory() {
@@ -674,7 +673,7 @@ impl ReplayImage {
             if op.is_store() {
                 mem_bits |= flags::STORE;
             }
-            (op.unit().index() as u8, mem_bits, op.is_unaligned_capable())
+            (mem_bits, op.is_unaligned_capable())
         });
         let records = lengths.iter().fold(n, |m, &(_, len)| m.min(len));
         let mut sites = 0usize;
@@ -685,8 +684,8 @@ impl ReplayImage {
             }
         };
         for idx in 0..records {
-            let (op, unit, f) = (self.ops[idx], self.units[idx], self.flags[idx]);
-            let (want_unit, want_mem, unaligned_ok) = expect[op.index()];
+            let (op, f) = (self.ops[idx], self.flags[idx]);
+            let (want_mem, unaligned_ok) = expect[op.index()];
             if masks_sized {
                 if (f & flags::MEM != 0) != get_bit(&self.mem_mask, idx) {
                     record(idx, "MEM flag disagrees with the presence mask".into());
@@ -694,15 +693,6 @@ impl ReplayImage {
                 if (f & flags::BRANCH != 0) != get_bit(&self.branch_mask, idx) {
                     record(idx, "BRANCH flag disagrees with the presence mask".into());
                 }
-            }
-            if unit != want_unit {
-                record(
-                    idx,
-                    format!(
-                        "cached unit index {unit} but opcode {} executes on unit {want_unit}",
-                        op.mnemonic()
-                    ),
-                );
             }
             let mem = f & flags::MEM != 0;
             if mem != (want_mem & flags::MEM != 0) {
@@ -744,9 +734,12 @@ impl ReplayImage {
             if f & flags::DST_VPR != 0 && f & flags::HAS_DST == 0 {
                 record(idx, "DST_VPR without HAS_DST".into());
             }
-            for &def in &self.src_defs[idx] {
-                if def != NO_DEF && def as usize >= n {
-                    record(idx, format!("producer {def} out of bounds ({n} records)"));
+            for &d in &self.src_defs[idx] {
+                if usize::from(d) > idx {
+                    record(
+                        idx,
+                        format!("producer distance {d} reaches before record 0"),
+                    );
                 }
             }
         }
@@ -776,11 +769,11 @@ impl ReplayImage {
     /// `(kind, site)` on equal images produce equal corruption. Returns
     /// `false` when the image is empty and there is nothing to corrupt.
     ///
-    /// Each kind lands on a different detection rung: `Truncate`,
-    /// `FlagBitFlip` and `CursorCorrupt` are caught statically by
-    /// [`ReplayImage::validate`]; `DepOverflow` and `DanglingDef` pass
-    /// validation and are caught mid-replay by the guarded engine
-    /// ([`SimError::DepOutOfWindow`] / [`SimError::DanglingProducer`]).
+    /// `Truncate`, `FlagBitFlip`, `CursorCorrupt` and `DanglingDef` are
+    /// caught statically by [`ReplayImage::validate`]; `DepOverflow`
+    /// passes validation and is caught mid-replay by the guarded engine
+    /// ([`SimError::DepOutOfWindow`]), except on an image with no
+    /// dependence list, where it falls back to `DanglingDef`.
     pub fn sabotage(&mut self, kind: Sabotage, site: u64) -> bool {
         if self.len == 0 {
             return false;
@@ -789,7 +782,6 @@ impl ReplayImage {
         match kind {
             Sabotage::Truncate => {
                 self.ops.truncate(idx);
-                self.units.truncate(idx);
                 self.flags.truncate(idx);
                 self.sids.truncate(idx);
                 self.src_defs.truncate(idx);
@@ -807,19 +799,18 @@ impl ReplayImage {
             }
             Sabotage::DepOverflow => {
                 if self.mem_deps.is_empty() {
-                    // No dependence lists to overflow; fall back to the
-                    // other runtime-detected corruption.
+                    // No dependence lists to overflow; bend a producer
+                    // instead, which the static rung refuses.
                     return self.sabotage(Sabotage::DanglingDef, site);
                 }
                 let i = site as usize % self.mem_deps.len();
                 self.mem_deps[i] = u32::MAX - 1;
             }
             Sabotage::DanglingDef => {
-                // A forward (or self) producer reference: in bounds, so it
-                // passes static validation, but impossible in a recorded
-                // trace — the guarded walk flags it at the consumer.
-                let def = if idx + 1 < self.len { idx + 1 } else { idx };
-                self.src_defs[idx][0] = def as u32;
+                // A producer before record 0: the one distance a recorded
+                // trace cannot produce, and the one validation refuses.
+                let idx = idx.min(usize::from(u16::MAX) - 1);
+                self.src_defs[idx][0] = idx as u16 + 1;
             }
         }
         true
@@ -842,12 +833,11 @@ impl ReplayImage {
         }
         vec![
             (wire::OPS, le16(self.ops.iter().map(|op| op.index() as u16))),
-            (wire::UNITS, self.units.clone()),
             (wire::FLAGS, self.flags.clone()),
-            (wire::SIDS, le32(self.sids.iter().map(|s| s.0))),
+            (wire::SIDS, le16(self.sids.iter().map(|s| s.0))),
             (
                 wire::SRC_DEFS,
-                le32(self.src_defs.iter().flatten().copied()),
+                le16(self.src_defs.iter().flatten().copied()),
             ),
             (wire::MEM_MASK, le64(self.mem_mask.iter().copied())),
             (wire::BRANCH_MASK, le64(self.branch_mask.iter().copied())),
@@ -930,19 +920,18 @@ impl ReplayImage {
                     .ok_or_else(|| format!("ops: opcode index {i} out of range"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let src_defs_raw = de32(get(wire::SRC_DEFS)?, "src_defs")?;
+        let src_defs_raw = de16(get(wire::SRC_DEFS)?, "src_defs")?;
         if src_defs_raw.len() % 3 != 0 {
             return Err(format!(
-                "src_defs: {} words is not a whole number of 3-slot records",
+                "src_defs: {} slots is not a whole number of 3-slot records",
                 src_defs_raw.len()
             ));
         }
         Ok(ReplayImage {
             len,
             ops,
-            units: get(wire::UNITS)?.to_vec(),
             flags: get(wire::FLAGS)?.to_vec(),
-            sids: de32(get(wire::SIDS)?, "sids")?
+            sids: de16(get(wire::SIDS)?, "sids")?
                 .into_iter()
                 .map(StaticId)
                 .collect(),
@@ -1015,13 +1004,7 @@ impl ReplayImage {
                 *first = u32::MAX - 1;
                 true
             }
-            AuditSabotage::SideArrayTruncate => {
-                if self.units.is_empty() {
-                    return false;
-                }
-                self.units.pop();
-                true
-            }
+            AuditSabotage::SideArrayTruncate => self.sids.pop().is_some(),
         }
     }
 
@@ -1038,11 +1021,6 @@ impl ReplayImage {
         &self.ops
     }
 
-    /// Execution-unit index per record (`Unit::index()` pre-resolved).
-    pub fn units(&self) -> &[u8] {
-        &self.units
-    }
-
     /// Flag byte per record (see [`flags`]).
     pub fn flags(&self) -> &[u8] {
         &self.flags
@@ -1053,8 +1031,9 @@ impl ReplayImage {
         &self.sids
     }
 
-    /// Producer indices per record, [`NO_DEF`] marking absent slots.
-    pub fn src_defs(&self) -> &[[u32; 3]] {
+    /// Producer back-distances per record (producer `idx − d`),
+    /// [`NO_DEF`] marking slots with no producer in reach.
+    pub fn src_defs(&self) -> &[[u16; 3]] {
         &self.src_defs
     }
 
@@ -1137,14 +1116,20 @@ pub(crate) fn dst_file_of(instr: &DynInstr) -> DstFile {
     }
 }
 
-/// Packs a recorded instruction's producer indices, one per source slot,
-/// [`NO_DEF`] marking absent or external producers — the
-/// [`ReplayImage::src_defs`] entry of the record.
-pub(crate) fn src_defs_of(instr: &DynInstr) -> [u32; 3] {
+/// Packs the producers of `instr`, recorded at index `idx`, as
+/// back-distances, one per source slot — the [`ReplayImage::src_defs`]
+/// entry of the record. [`NO_DEF`] marks a slot with no producer in reach:
+/// absent, external, farther back than `u16::MAX`, or not before the
+/// record at all (impossible in a recorded trace; `trace-wellformed`
+/// reports it).
+pub(crate) fn src_defs_of(instr: &DynInstr, idx: usize) -> [u16; 3] {
     let mut defs = [NO_DEF; 3];
     for (slot, src) in defs.iter_mut().zip(instr.srcs.iter()) {
-        if let Some(d) = src.and_then(|s| s.def) {
-            *slot = d;
+        if let Some(p) = src.and_then(|s| s.def) {
+            *slot = idx
+                .checked_sub(p as usize)
+                .and_then(|d| u16::try_from(d).ok())
+                .unwrap_or(NO_DEF);
         }
     }
     defs
@@ -1153,9 +1138,9 @@ pub(crate) fn src_defs_of(instr: &DynInstr) -> [u32; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valign_isa::{BranchInfo, Gpr, MemRef, SrcRef, Unit, Vpr};
+    use valign_isa::{BranchInfo, Gpr, MemRef, SrcRef, Vpr};
 
-    fn sid(n: u32) -> StaticId {
+    fn sid(n: u16) -> StaticId {
         StaticId(n)
     }
 
@@ -1218,14 +1203,15 @@ mod tests {
         assert_eq!(img.branch_at(0), None);
         assert_eq!(img.src_defs()[0], [NO_DEF; 3]);
 
-        // Unaligned vector load: MEM + UNALIGNED, VPR dst, producer 0.
+        // Unaligned vector load: MEM + UNALIGNED, VPR dst, producer 0 one
+        // record back.
         let f = img.record_flags(1);
         assert_ne!(f & flags::MEM, 0);
         assert_eq!(f & flags::STORE, 0);
         assert_ne!(f & flags::UNALIGNED, 0);
         assert_eq!(DstFile::from_flags(f), DstFile::Vpr);
         assert_eq!(img.mem_ref_at(1), Some((0x1003, 16, MemKind::Load)));
-        assert_eq!(img.src_defs()[1], [0, NO_DEF, NO_DEF]);
+        assert_eq!(img.src_defs()[1], [1, NO_DEF, NO_DEF]);
 
         // Aligned scalar store: MEM + STORE, no dst.
         let f = img.record_flags(2);
@@ -1247,7 +1233,6 @@ mod tests {
         let img = ReplayImage::build(&t);
         for (idx, instr) in t.iter().enumerate() {
             assert_eq!(img.op(idx), instr.op);
-            assert_eq!(usize::from(img.units()[idx]), instr.op.unit().index());
             assert_eq!(img.sids()[idx], instr.sid);
             assert_eq!(
                 img.mem_ref_at(idx),
@@ -1263,8 +1248,8 @@ mod tests {
             );
             let defs: Vec<u32> = img.src_defs()[idx]
                 .iter()
-                .copied()
-                .filter(|&d| d != NO_DEF)
+                .filter(|&&d| d != NO_DEF)
+                .map(|&d| (idx - usize::from(d)) as u32)
                 .collect();
             assert_eq!(defs, instr.source_defs().collect::<Vec<_>>());
             assert_eq!(
@@ -1292,7 +1277,7 @@ mod tests {
             if i % 3 == 0 {
                 t.push(DynInstr::mem(
                     Opcode::Lwz,
-                    sid(i as u32),
+                    sid(i as u16),
                     Some(Gpr::new((i % 32) as u8).into()),
                     &[],
                     MemRef {
@@ -1302,7 +1287,7 @@ mod tests {
                     },
                 ));
             } else {
-                t.push(DynInstr::alu(Opcode::Li, sid(i as u32), None, &[]));
+                t.push(DynInstr::alu(Opcode::Li, sid(i as u16), None, &[]));
             }
         }
         let img = ReplayImage::build(&t);
@@ -1330,7 +1315,7 @@ mod tests {
             if i % 3 != 0 {
                 t.push(DynInstr::mem(
                     Opcode::Stw,
-                    sid(i as u32),
+                    sid(i as u16),
                     None,
                     &[],
                     MemRef {
@@ -1342,7 +1327,7 @@ mod tests {
             } else {
                 t.push(DynInstr::mem(
                     Opcode::Lwz,
-                    sid(i as u32),
+                    sid(i as u16),
                     Some(Gpr::new((i % 32) as u8).into()),
                     &[],
                     MemRef {
@@ -1437,6 +1422,7 @@ mod tests {
             Sabotage::Truncate,
             Sabotage::FlagBitFlip,
             Sabotage::CursorCorrupt,
+            Sabotage::DanglingDef,
         ] {
             for site in 0..8 {
                 let mut img = clean.clone();
@@ -1450,18 +1436,33 @@ mod tests {
     }
 
     #[test]
-    fn runtime_sabotage_kinds_pass_static_validation() {
-        // DepOverflow and DanglingDef are the faults validate() deliberately
-        // leaves to the guarded replay walk (layered detection).
-        let t = sample_trace();
-        for kind in [Sabotage::DepOverflow, Sabotage::DanglingDef] {
-            let mut img = ReplayImage::build(&t);
-            // Site 1 lands DanglingDef mid-trace; DepOverflow rewrites a
-            // dep list entry when one exists, else falls back.
-            img.sabotage(kind, 1);
-            img.validate()
-                .unwrap_or_else(|e| panic!("{kind:?} must survive validate, got {e}"));
-        }
+    fn dep_overflow_passes_static_validation_unless_it_falls_back() {
+        // DepOverflow is the fault validate() deliberately leaves to the
+        // guarded replay walk (layered detection)...
+        let mut t = sample_trace();
+        t.push(DynInstr::mem(
+            Opcode::Lwz,
+            sid(5),
+            Some(Gpr::new(3).into()),
+            &[],
+            MemRef {
+                addr: 0x2000,
+                bytes: 4,
+                kind: MemKind::Load,
+            },
+        ));
+        let mut img = ReplayImage::build(&t);
+        assert!(img.sabotage(Sabotage::DepOverflow, 1));
+        img.validate()
+            .unwrap_or_else(|e| panic!("DepOverflow must survive validate, got {e}"));
+        // ...but with no dependence list to bend it dangles a producer,
+        // which the static rung refuses.
+        let mut img = ReplayImage::build(&sample_trace());
+        assert!(img.sabotage(Sabotage::DepOverflow, 1));
+        assert!(matches!(
+            img.validate(),
+            Err(SimError::CorruptImage { index: Some(1), .. })
+        ));
     }
 
     #[test]
@@ -1470,7 +1471,7 @@ mod tests {
         // later store to re-point at, so every audit kind has a site.
         let mut t = Trace::new();
         t.push(DynInstr::alu(Opcode::Li, sid(0), None, &[]));
-        for i in 0..3u32 {
+        for i in 0..3u16 {
             t.push(DynInstr::mem(
                 Opcode::Stw,
                 sid(1 + i),
@@ -1541,10 +1542,10 @@ mod tests {
     fn validate_rejects_handmade_structural_damage() {
         let t = sample_trace();
         let mut img = ReplayImage::build(&t);
-        img.units[2] = 200; // out-of-range execution unit
+        img.flags[2] |= flags::DST_VPR; // vector destination on a store
         assert!(img.validate().is_err());
         let mut img = ReplayImage::build(&t);
-        img.src_defs[1][0] = img.len as u32 + 5; // out-of-bounds producer
+        img.src_defs[1][0] = 2; // producer before record 0
         assert!(img.validate().is_err());
         let mut img = ReplayImage::build(&t);
         img.mem_mask[0] |= 1 << 63; // presence bit past the last record
@@ -1555,7 +1556,7 @@ mod tests {
             other => panic!("expected a per-record violation, got {other:?}"),
         };
         let mut img = ReplayImage::build(&t);
-        img.units[0] = Unit::Ls.index() as u8; // li on the load/store pool
+        img.src_defs[0][0] = 1; // record 0 has nothing before it
         assert_eq!(at(&img), Some(0));
         let mut img = ReplayImage::build(&t);
         img.flags[1] |= flags::STORE; // STORE on the lvxu load
@@ -1569,8 +1570,8 @@ mod tests {
     fn violations_lists_every_break() {
         let t = sample_trace();
         let mut img = ReplayImage::build(&t);
-        img.units[0] = Unit::Ls.index() as u8;
-        img.src_defs[2][0] = img.len as u32 + 5;
+        img.flags[0] |= flags::STORE; // STORE on the li
+        img.src_defs[2][0] = 3; // producer before record 0
         let found: Vec<Option<usize>> = img
             .violations()
             .into_iter()
@@ -1583,11 +1584,13 @@ mod tests {
 
         // Per-record findings stop at the cap, then one summary.
         let mut t = Trace::new();
-        for i in 0..(MAX_RECORD_VIOLATIONS as u32 + 7) {
+        for i in 0..(MAX_RECORD_VIOLATIONS as u16 + 7) {
             t.push(DynInstr::alu(Opcode::Li, sid(i), None, &[]));
         }
         let mut img = ReplayImage::build(&t);
-        img.units.fill(Unit::Ls.index() as u8);
+        for (idx, defs) in img.src_defs.iter_mut().enumerate() {
+            defs[0] = idx as u16 + 1;
+        }
         let all = img.violations();
         assert_eq!(all.len(), MAX_RECORD_VIOLATIONS + 1);
         assert!(
@@ -1670,7 +1673,7 @@ mod tests {
         for i in 0..10_000u32 {
             t.push(DynInstr::alu(
                 Opcode::Add,
-                sid(i % 64),
+                sid((i % 64) as u16),
                 Some(Gpr::new((i % 32) as u8).into()),
                 &[SrcRef::external(Gpr::new(0).into())],
             ));

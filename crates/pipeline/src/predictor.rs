@@ -111,7 +111,7 @@ impl BranchPredictor {
 mod tests {
     use super::*;
 
-    fn sid(n: u32) -> StaticId {
+    fn sid(n: u16) -> StaticId {
         StaticId(n)
     }
 

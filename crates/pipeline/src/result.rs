@@ -42,14 +42,6 @@ pub enum SimError {
         /// Checksum of the image as loaded.
         actual: u64,
     },
-    /// A record names a producer at or after itself — impossible in a
-    /// recorded trace, so the dependence arrays are corrupt.
-    DanglingProducer {
-        /// Record index of the consumer.
-        index: usize,
-        /// The impossible producer index it names.
-        producer: u32,
-    },
     /// A pre-resolved store-to-load dependence names a store ordinal
     /// outside the LSU's trailing store window — the dependence lists
     /// disagree with the store ring they index.
@@ -85,7 +77,6 @@ impl SimError {
             self,
             SimError::CorruptImage { .. }
                 | SimError::ChecksumMismatch { .. }
-                | SimError::DanglingProducer { .. }
                 | SimError::DepOutOfWindow { .. }
         )
     }
@@ -112,10 +103,6 @@ impl fmt::Display for SimError {
             SimError::ChecksumMismatch { expected, actual } => write!(
                 f,
                 "image checksum mismatch: expected {expected:#018x}, found {actual:#018x}"
-            ),
-            SimError::DanglingProducer { index, producer } => write!(
-                f,
-                "record {index} names producer {producer} at or after itself"
             ),
             SimError::DepOutOfWindow {
                 index,
@@ -322,10 +309,6 @@ mod tests {
             SimError::ChecksumMismatch {
                 expected: 1,
                 actual: 2,
-            },
-            SimError::DanglingProducer {
-                index: 5,
-                producer: 9,
             },
             SimError::DepOutOfWindow {
                 index: 7,

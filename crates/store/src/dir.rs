@@ -421,7 +421,7 @@ mod tests {
         }
     }
 
-    fn image(records: u32) -> (ReplayImage, u64) {
+    fn image(records: u16) -> (ReplayImage, u64) {
         let mut t = Trace::new();
         for i in 0..records {
             t.push(DynInstr::alu(Opcode::Add, StaticId(i), None, &[]));
@@ -460,7 +460,7 @@ mod tests {
     fn verify_reports_exactly_the_corrupted_file() {
         let tmp = TempDir::new("verify");
         let dir = StoreDir::create(&tmp.0).expect("create");
-        for (hash, records) in [(1u64, 10u32), (2, 20), (3, 30)] {
+        for (hash, records) in [(1u64, 10u16), (2, 20), (3, 30)] {
             let (img, checksum) = image(records);
             dir.save(hash, &img, checksum).expect("save");
         }
@@ -489,7 +489,7 @@ mod tests {
     fn walk_hands_back_decoded_images_with_parsed_hashes() {
         let tmp = TempDir::new("walk");
         let dir = StoreDir::create(&tmp.0).expect("create");
-        for (hash, records) in [(0x10u64, 10u32), (0x20, 20)] {
+        for (hash, records) in [(0x10u64, 10u16), (0x20, 20)] {
             let (img, checksum) = image(records);
             dir.save(hash, &img, checksum).expect("save");
         }

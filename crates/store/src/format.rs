@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     8  magic "VALIGNIM"
-//!      8     4  format version (currently 1)
+//!      8     4  format version (currently 2)
 //!     12     4  section count
 //!     16     8  image record count (len)
 //!     24     8  image checksum (ReplayImage::checksum at build time)
@@ -44,7 +44,10 @@ use valign_pipeline::{ReplayImage, VerifiedImage};
 pub const MAGIC: [u8; 8] = *b"VALIGNIM";
 
 /// Current format version (see the module docs for the policy).
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 narrowed the record columns: `sids` and `src_defs` became
+/// `u16` (producers as back-distances) and the `units` section went away.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Alignment of every section payload offset and of the total file size.
 pub const SECTION_ALIGN: usize = 64;
@@ -55,7 +58,7 @@ const FIXED_HEADER_BYTES: usize = 32;
 /// Size of one section-table entry.
 const SECTION_ENTRY_BYTES: usize = 32;
 
-/// Upper bound on the section count a reader accepts; version 1 writes
+/// Upper bound on the section count a reader accepts; version 2 writes
 /// exactly [`wire::ALL`]`.len()` sections, the bound just keeps a
 /// corrupt count from driving a huge table allocation.
 const MAX_SECTIONS: u32 = 64;
@@ -477,7 +480,7 @@ mod tests {
     fn sample_image() -> (ReplayImage, u64) {
         let mut t = Trace::new();
         for i in 0..40u64 {
-            let sid = StaticId(i as u32);
+            let sid = StaticId(i as u16);
             if i % 4 == 0 {
                 t.push(DynInstr::mem(
                     Opcode::Stw,
@@ -634,9 +637,9 @@ mod tests {
 
         // A bit flipped in inter-section padding (the byte just before
         // the first payload is pad: the header block is not a multiple
-        // of 64 with 13 sections).
+        // of 64 with 12 sections).
         let first_payload = usize::try_from(read_u64(&clean, 32 + 8)).unwrap();
-        let table_end = 32 + 13 * 32;
+        let table_end = 32 + wire::ALL.len() * 32;
         assert!(first_payload > table_end + 8, "layout has header padding");
         let mut bad = clean.clone();
         bad[first_payload - 1] = 0x01;

@@ -276,7 +276,9 @@ impl Vm {
         if let Some(&sid) = self.sites.get(&key) {
             sid
         } else {
-            let sid = StaticId(self.next_sid);
+            let sid = StaticId(
+                u16::try_from(self.next_sid).expect("more than 65,535 static sites in one program"),
+            );
             self.next_sid += 1;
             self.sites.insert(key, sid);
             sid
@@ -1070,6 +1072,26 @@ mod tests {
         assert_eq!(vm.instr_count(), 3);
         let mix = vm.trace().mix();
         assert_eq!(mix.get(InstrClass::IntAlu), 3);
+    }
+
+    #[test]
+    fn site_ids_are_stable_and_the_65536th_site_is_refused() {
+        let mut vm = Vm::new();
+        // As if 65,534 distinct sites had already been issued.
+        vm.next_sid = u32::from(u16::MAX);
+        for _ in 0..2 {
+            let _ = vm.li(1); // the 65,535th site, then the same site again
+        }
+        let sids: Vec<StaticId> = vm.trace().iter().map(|i| i.sid).collect();
+        assert_eq!(sids, [StaticId(u16::MAX); 2]);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm.li(2)));
+        let message = refused.expect_err("a 65,536th site has no 16-bit id");
+        assert!(
+            message
+                .downcast_ref::<String>()
+                .is_some_and(|m| m.contains("65,535 static sites")),
+            "{message:?}"
+        );
     }
 
     #[test]

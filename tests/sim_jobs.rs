@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use valign::core::experiments::{fig8, fig9, table3};
 use valign::core::sim::{SimContext, TraceKey, TraceStore};
-use valign::core::workload::KernelId;
+use valign::core::workload::{trace_kernel, KernelId};
 use valign::kernels::util::Variant;
-use valign::pipeline::{PipelineConfig, Simulator};
+use valign::pipeline::{PipelineConfig, ReplayImage, Simulator};
 
 /// The whole Fig. 8 report — 99 jobs over 33 shared traces — is
 /// byte-identical whether replayed serially or on 2 or 8 workers.
@@ -92,4 +92,25 @@ proptest! {
         // The two replays shared one generation.
         prop_assert_eq!(store.stats().misses, 1);
     }
+}
+
+/// The replay images are most of what a sweep holds, so their layout is
+/// guarded: over the 33-key matrix at 20 execs they average at most 16
+/// bytes per record (10 fixed, the rest memory references, branch
+/// outcomes and dependence lists).
+#[test]
+fn replay_images_stay_within_sixteen_bytes_per_record() {
+    let (mut bytes, mut records) = (0usize, 0usize);
+    for &kernel in KernelId::ALL {
+        for &variant in Variant::ALL {
+            let image = ReplayImage::build(&trace_kernel(kernel, variant, 20, 20070425));
+            bytes += image.approx_bytes();
+            records += image.len();
+        }
+    }
+    assert!(
+        bytes <= 16 * records,
+        "{bytes} image bytes for {records} records ({:.2} B/record)",
+        bytes as f64 / records as f64
+    );
 }

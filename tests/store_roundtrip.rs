@@ -8,6 +8,9 @@
 //!    (one per config) under supervision — nothing panics, siblings are
 //!    untouched — and the store heals the file on the way through;
 //! 4. `verify-image` over the healed directory is clean.
+//!
+//! A second scenario drills the upgrade path: a file stamped with an
+//! older format version is named as such, quarantined and rebuilt.
 
 use valign::cache::RealignConfig;
 use valign::core::sim::{BatchRunner, SimJob, TraceKey, TraceSource, TraceStore};
@@ -21,8 +24,8 @@ use valign::store::{sabotage_file_bytes, StoreDir};
 const EXECS: usize = 2;
 const SEED: u64 = 7;
 
-fn scratch() -> std::path::PathBuf {
-    let root = std::env::temp_dir().join(format!("valign-roundtrip-{}", std::process::id()));
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("valign-roundtrip-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     root
 }
@@ -55,7 +58,7 @@ fn sweep_jobs() -> Vec<SimJob> {
 
 #[test]
 fn pack_warm_corrupt_degrade_heal() {
-    let root = scratch();
+    let root = scratch("heal");
 
     // 1. Pack the matrix: one file per kernel/variant key.
     let report = store_ops::pack(&root, EXECS, SEED, 4).expect("pack");
@@ -132,6 +135,45 @@ fn pack_warm_corrupt_degrade_heal() {
     let healed = BatchRunner::new(4).run(&healed_store, &jobs);
     assert_eq!(healed, cold);
     assert_eq!(healed_store.stats().disk_hits, matrix as u64);
+
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A file written by an older reader's format (version 1, before the
+/// record columns narrowed) is not misread: `verify-image` names its
+/// version, and a store-backed run quarantines and rebuilds it while its
+/// output stays bit-identical to a cold run.
+#[test]
+fn stale_format_version_is_quarantined_and_rebuilt() {
+    let root = scratch("stale");
+    store_ops::pack(&root, EXECS, SEED, 2).expect("pack");
+    let jobs = sweep_jobs();
+    let TraceSource::Key(victim) = jobs[0].source else {
+        panic!("sweep jobs are keyed");
+    };
+    let name = StoreDir::file_name(victim.content_hash());
+    let path = root.join(&name);
+    let mut bytes = std::fs::read(&path).expect("read packed image");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write stale version");
+
+    let verify = store_ops::verify_image(&root).expect("verify");
+    assert_eq!(verify.invalid(), 1, "{}", verify.render());
+    assert!(
+        verify
+            .render()
+            .contains("format version 1 (reader implements 2)"),
+        "{}",
+        verify.render()
+    );
+
+    let cold = BatchRunner::new(2).run(&TraceStore::new(), &jobs);
+    let store = TraceStore::with_disk(&root).expect("open store");
+    assert_eq!(BatchRunner::new(2).run(&store, &jobs), cold);
+    let stats = store.stats();
+    assert_eq!((stats.disk_invalid, stats.disk_quarantined), (1, 1));
+    assert!(root.join("quarantine").join(&name).exists());
+    assert!(store_ops::verify_image(&root).expect("verify").all_ok());
 
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
