@@ -9,7 +9,7 @@
 //! serially (single-banked L1).
 
 use crate::align::BankScheme;
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, ValidLines};
 
 /// Latencies and geometries for the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub struct AccessOutcome {
 }
 
 /// A composed D-L1 + L2 + memory hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     config: HierarchyConfig,
     l1d: SetAssocCache,
@@ -97,17 +97,21 @@ impl Hierarchy {
         self.l2.stats()
     }
 
-    /// Invalidates both levels and clears statistics.
-    pub fn flush(&mut self) {
-        self.l1d.flush();
-        self.l2.flush();
+    /// Both levels without their invalid ways
+    /// ([`SetAssocCache::valid_lines`]): the D-L1, then the L2.
+    pub fn valid_lines(&self) -> (ValidLines, ValidLines) {
+        (self.l1d.valid_lines(), self.l2.valid_lines())
     }
 
-    /// Warms both levels with the line containing `addr` without counting
-    /// statistics-relevant latency (used to pre-touch kernel constants).
-    pub fn warm(&mut self, addr: u64) {
-        self.l1d.access(addr, false);
-        self.l2.access(addr, false);
+    /// The hierarchy on `config` that [`Hierarchy::valid_lines`] returned
+    /// `l1d` and `l2` for, exactly.
+    pub fn from_valid_lines(config: HierarchyConfig, l1d: &ValidLines, l2: &ValidLines) -> Self {
+        Hierarchy {
+            l1d: SetAssocCache::from_valid_lines(l1d),
+            l2: SetAssocCache::from_valid_lines(l2),
+            line_shift: config.l1d.line_shift(),
+            config,
+        }
     }
 
     fn access_line(&mut self, addr: u64, write: bool) -> (u32, bool, bool) {
@@ -223,17 +227,22 @@ mod tests {
         assert!(cross.split);
     }
 
+    /// Brings the line holding `addr` into both levels.
+    fn touch(m: &mut Hierarchy, addr: u64) {
+        m.access(addr, 1, false, BankScheme::TwoBankInterleaved);
+    }
+
     #[test]
     fn two_bank_parallel_vs_single_bank_serial() {
-        // Warm both lines so the base is L1-hit latency on each.
+        // Touch both lines first so the base is L1-hit latency on each.
         let mut m = h();
-        m.warm(0x1000 + 120);
-        m.warm(0x1080);
+        touch(&mut m, 0x1000 + 120);
+        touch(&mut m, 0x1080);
         let par = m.access(0x1000 + 120, 16, false, BankScheme::TwoBankInterleaved);
         assert_eq!(par.latency, 4, "parallel banks: max(4,4)");
         let mut m2 = h();
-        m2.warm(0x1000 + 120);
-        m2.warm(0x1080);
+        touch(&mut m2, 0x1000 + 120);
+        touch(&mut m2, 0x1080);
         let ser = m2.access(0x1000 + 120, 16, false, BankScheme::SingleBank);
         assert_eq!(ser.latency, 8, "single bank: 4+4");
     }
@@ -241,7 +250,7 @@ mod tests {
     #[test]
     fn split_with_one_cold_line_takes_the_max() {
         let mut m = h();
-        m.warm(0x1000 + 120); // first line warm, second cold
+        touch(&mut m, 0x1000 + 120); // first line resident, second cold
         let out = m.access(0x1000 + 120, 16, false, BankScheme::TwoBankInterleaved);
         assert!(out.split);
         assert_eq!(out.latency, 4 + 12 + 250, "dominated by the cold line");
@@ -249,15 +258,28 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_flush() {
+    fn stats_count_per_level() {
         let mut m = h();
         m.access(0x0, 4, true, BankScheme::TwoBankInterleaved);
         m.access(0x0, 4, false, BankScheme::TwoBankInterleaved);
         assert_eq!(m.l1_stats().accesses(), 2);
         assert_eq!(m.l1_stats().hits, 1);
         assert_eq!(m.l2_stats().accesses(), 1);
-        m.flush();
-        assert_eq!(m.l1_stats().accesses(), 0);
+    }
+
+    #[test]
+    fn valid_lines_restore_both_levels() {
+        let mut m = h();
+        for addr in [0x0, 16 * 1024, 32 * 1024, 0x1000 + 120] {
+            m.access(addr, 16, addr == 0, BankScheme::SingleBank);
+        }
+        let (l1d, l2) = m.valid_lines();
+        let mut restored = Hierarchy::from_valid_lines(*m.config(), &l1d, &l2);
+        assert_eq!(restored, m);
+        let again = restored.access(0x0, 16, false, BankScheme::TwoBankInterleaved);
+        assert_eq!(again.latency, 4 + 12, "0x0 was evicted from the L1 only");
+        m.access(0x0, 16, false, BankScheme::TwoBankInterleaved);
+        assert_eq!(restored, m);
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub mod set_assoc;
 
 pub use align::{BankScheme, RealignConfig};
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig};
-pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache, ValidLines};

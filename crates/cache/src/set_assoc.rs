@@ -95,7 +95,9 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+// A line that is not `valid` is always `Line::default()`: lines only
+// ever become valid, so [`ValidLines`] can leave the invalid ones out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -105,7 +107,7 @@ struct Line {
 }
 
 /// A set-associative, write-allocate, write-back cache model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     config: CacheConfig,
     lines: Vec<Line>,
@@ -151,13 +153,44 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// Invalidates every line and clears statistics.
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+    /// The cache without its invalid ways: every valid line in its slot,
+    /// the LRU clock and the statistics.
+    pub fn valid_lines(&self) -> ValidLines {
+        ValidLines {
+            config: self.config,
+            lines: self
+                .lines
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.valid)
+                .map(|(slot, l)| KeptLine {
+                    tag: l.tag,
+                    lru: l.lru,
+                    slot: u32::try_from(slot).expect("a cache has fewer than 2^32 lines"),
+                    dirty: l.dirty,
+                })
+                .collect::<Vec<_>>()
+                .into_boxed_slice(),
+            clock: self.clock,
+            stats: self.stats,
         }
-        self.clock = 0;
-        self.stats = CacheStats::default();
+    }
+
+    /// The cache `kept` was taken from, exactly: the same lines in the
+    /// same slots, the same clock and the same statistics.
+    pub fn from_valid_lines(kept: &ValidLines) -> Self {
+        let mut cache = SetAssocCache::new(kept.config);
+        for l in &kept.lines {
+            cache.lines[l.slot as usize] = Line {
+                tag: l.tag,
+                valid: true,
+                dirty: l.dirty,
+                lru: l.lru,
+            };
+        }
+        cache.clock = kept.clock;
+        cache.stats = kept.stats;
+        cache
     }
 
     #[inline]
@@ -212,6 +245,36 @@ impl SetAssocCache {
         self.lines[set * self.config.assoc..(set + 1) * self.config.assoc]
             .iter()
             .any(|l| l.valid && l.tag == tag)
+    }
+}
+
+/// One valid line of a [`ValidLines`] and the slot (`set * assoc + way`)
+/// it occupies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KeptLine {
+    tag: u64,
+    lru: u64,
+    slot: u32,
+    dirty: bool,
+}
+
+/// A [`SetAssocCache`] with its invalid ways left out
+/// ([`SetAssocCache::valid_lines`]), which
+/// [`SetAssocCache::from_valid_lines`] restores exactly. A cache that has
+/// seen a small working set is mostly invalid ways, so this is much
+/// smaller than the cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValidLines {
+    config: CacheConfig,
+    lines: Box<[KeptLine]>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl ValidLines {
+    /// Approximate heap plus inline bytes.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.lines)
     }
 }
 
@@ -288,14 +351,31 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_reset() {
+    fn reset_stats_keeps_contents() {
         let mut c = small();
         c.access(0x40, true);
         c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
         assert!(c.probe(0x40));
-        c.flush();
-        assert!(!c.probe(0x40));
+    }
+
+    #[test]
+    fn valid_lines_restore_the_cache_exactly() {
+        let mut c = small();
+        assert_eq!(SetAssocCache::from_valid_lines(&c.valid_lines()), c);
+        // Dirty and clean lines, an eviction (and its writeback), and a
+        // set left with one invalid way, whose slot the next miss fills.
+        for (addr, write) in [(0x0, true), (0x100, false), (0x200, false), (0x40, true)] {
+            c.access(addr, write);
+        }
+        let kept = c.valid_lines();
+        assert_eq!(kept.lines.len(), 3);
+        let mut restored = SetAssocCache::from_valid_lines(&kept);
+        assert_eq!(restored, c);
+        for addr in [0x140, 0x0, 0x300] {
+            assert_eq!(restored.access(addr, false), c.access(addr, false));
+        }
+        assert_eq!(restored, c);
     }
 
     #[test]

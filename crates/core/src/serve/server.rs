@@ -1052,7 +1052,8 @@ fn render_stats(shared: &Shared) -> String {
         out,
         "{{\"type\": \"stats\", \
          \"store\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
-         \"resident_bytes\": {}, \"memory_hit_rate\": {:.4}, \"disk_enabled\": {}, \
+         \"resident_bytes\": {}, \"warm_states\": {}, \"memory_hit_rate\": {:.4}, \
+         \"disk_enabled\": {}, \
          \"disk_hits\": {}, \"disk_misses\": {}, \"disk_invalid\": {}, \
          \"disk_quarantined\": {}, \"disk_write_failures\": {}, \
          \"disk_hit_rate\": {:.4}}}, \
@@ -1073,6 +1074,7 @@ fn render_stats(shared: &Shared) -> String {
         s.misses,
         s.entries,
         s.resident_bytes,
+        s.warm_states,
         rate(s.hits, s.misses),
         s.disk_enabled,
         s.disk_hits,
@@ -1207,11 +1209,14 @@ mod tests {
             journal: None,
         };
         let stats = Json::parse(&render_stats(&shared)).unwrap();
-        let resident = stats
-            .get("store")
-            .and_then(|s| s.get("resident_bytes"))
-            .and_then(Json::as_u64);
-        assert_eq!(resident, Some(expected));
+        let store = |field: &str| {
+            stats
+                .get("store")
+                .and_then(|s| s.get(field))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(store("resident_bytes"), Some(expected));
+        assert_eq!(store("warm_states"), Some(0));
     }
 
     #[test]

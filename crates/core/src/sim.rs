@@ -27,7 +27,9 @@
 //!   ladder; a file that fails any rung is quarantined and rebuilt from
 //!   source, the rebuild recorded in the entry's [`ImageProvenance`] so
 //!   supervised replays degrade that key's jobs instead of silently
-//!   trusting a once-corrupt file.
+//!   trusting a once-corrupt file. From its second warm replay on, an
+//!   entry also keeps the [`WarmState`] its functional warm-up leaves,
+//!   so every later warm job restores it instead of walking the image.
 //! * [`SimJob`] / [`BatchRunner`] — a replay expressed as
 //!   `(trace source, PipelineConfig)` and executed on a scoped-thread
 //!   worker pool (std only). Jobs are dispatched largest-estimated-trace
@@ -40,8 +42,10 @@
 //!
 //! Determinism argument: every job is an independent pure function of its
 //! `(trace, config)` inputs — a fresh [`Simulator`] per job, no state
-//! shared between jobs except the immutable traces — so the result vector
-//! depends only on the submitted job list, never on scheduling.
+//! shared between jobs except the immutable images and the warm states
+//! kept beside them, each of which restores exactly the machine a
+//! warm-up on its image leaves — so the result vector depends only on
+//! the submitted job list, never on scheduling.
 //!
 //! Failure isolation: workers run every job under `catch_unwind`, so one
 //! panicking job surfaces as a [`JobPanic`] in its own slot while its
@@ -57,14 +61,15 @@ use crate::workload::{trace_kernel, KernelId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 use std::time::Instant;
+use valign_cache::HierarchyConfig;
 use valign_isa::Trace;
 use valign_kernels::util::Variant;
 use valign_pipeline::{
-    PipelineConfig, ReplayImage, SimError, SimResult, Simulator, VerifiedImage, WordHash,
+    PipelineConfig, ReplayImage, SimError, SimResult, Simulator, VerifiedImage, WarmState, WordHash,
 };
 use valign_store::{StoreDir, StoreError, StoredImage, WriteFault};
 
@@ -131,7 +136,7 @@ pub enum ImageProvenance {
 /// deterministic, so the re-derived records are the ones the image was
 /// compiled from. Everything is `Arc`-shared: cloning a `PreparedTrace`
 /// is refcount bumps, and all clones of one entry share its lazily filled
-/// records, checksum and integrity verdict.
+/// records, checksum, integrity verdict and warm state.
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
     /// The key records are re-derived from; `None` only for a
@@ -160,6 +165,12 @@ struct EntryCells {
     /// its first supervised replay; a decoded entry starts verified,
     /// because the store's decode ran both rungs.
     verdict: OnceLock<Result<VerifiedImage, SimError>>,
+    /// Set by the entry's first warm replay, which warms on the image.
+    warmed_once: AtomicBool,
+    /// The functional warm-up's state on the image, kept by the entry's
+    /// second warm replay so that every later one restores it instead of
+    /// walking the image. A key replayed once never pays for it.
+    warm: OnceLock<WarmState>,
 }
 
 impl PreparedTrace {
@@ -195,9 +206,9 @@ impl PreparedTrace {
             key: Some(key),
             image: Arc::clone(stored.image.shared()),
             cells: Arc::new(EntryCells {
-                records: OnceLock::new(),
                 checksum: OnceLock::from(stored.checksum),
                 verdict: OnceLock::from(Ok(stored.image)),
+                ..EntryCells::default()
             }),
             provenance: ImageProvenance::DiskLoaded,
         }
@@ -238,6 +249,29 @@ impl PreparedTrace {
             .get_or_init(|| verify_image(Arc::clone(&self.image), self.checksum()))
             .clone()
     }
+
+    /// The kept warm state for a warm replay of this entry's own image
+    /// on `memory`, taking it on the entry's second warm replay. `None`
+    /// tells the caller to warm on the image: the first warm replay, a
+    /// keyless (shared) trace, a `DiskRebuilt` entry, and a state kept
+    /// on another hierarchy all do. Replays of a sabotaged copy must not
+    /// ask. The supervisor asks only once the image is verified.
+    pub(crate) fn kept_warm_state(&self, memory: &HierarchyConfig) -> Option<&WarmState> {
+        if self.key.is_none() || matches!(self.provenance, ImageProvenance::DiskRebuilt { .. }) {
+            return None;
+        }
+        let cells = &self.cells;
+        let state = match cells.warm.get() {
+            Some(state) => state,
+            // Relaxed: the flag publishes nothing; the state is published
+            // through its `OnceLock`.
+            None if !cells.warmed_once.swap(true, Ordering::Relaxed) => return None,
+            None => cells
+                .warm
+                .get_or_init(|| WarmState::take(*memory, &self.image)),
+        };
+        (state.memory() == memory).then_some(state)
+    }
 }
 
 /// Counters describing how a [`TraceStore`] was used, tier by tier.
@@ -259,12 +293,16 @@ pub struct TraceStoreStats {
     /// Total dynamic instructions across all cached images.
     pub instructions: u64,
     /// Approximate heap bytes the memory tier holds: every resident
-    /// image plus every materialized record-form trace.
+    /// image, every materialized record-form trace and every kept warm
+    /// state.
     pub resident_bytes: u64,
     /// Resident entries whose record-form trace is materialized. Zero
     /// after a replay-only workload: entries are image-only until
     /// someone asks for records.
     pub materialized_traces: usize,
+    /// Resident entries keeping a warm state: keys replayed warm at
+    /// least twice.
+    pub warm_states: usize,
     /// Whether a persistent tier is attached.
     pub disk_enabled: bool,
     /// Disk-tier hits: memory misses satisfied by a verified image file.
@@ -476,18 +514,23 @@ impl TraceStore {
 
     /// Usage counters (per-tier hits and misses, residency).
     pub fn stats(&self) -> TraceStoreStats {
-        let (entries, resident_bytes, materialized_traces) = {
+        let (entries, resident_bytes, materialized_traces, warm_states) = {
             let map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
             let mut bytes = 0;
             let mut traces = 0;
+            let mut warm = 0;
             for prepared in map.values().filter_map(|cell| cell.get()) {
                 bytes += prepared.image.approx_bytes();
                 if let Some(trace) = prepared.cells.records.get() {
                     bytes += trace.approx_bytes();
                     traces += 1;
                 }
+                if let Some(state) = prepared.cells.warm.get() {
+                    bytes += state.approx_bytes();
+                    warm += 1;
+                }
             }
-            (map.len(), bytes as u64, traces)
+            (map.len(), bytes as u64, traces, warm)
         };
         TraceStoreStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -496,6 +539,7 @@ impl TraceStore {
             instructions: self.instructions.load(Ordering::Relaxed),
             resident_bytes,
             materialized_traces,
+            warm_states,
             disk_enabled: self.disk.is_some(),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
@@ -610,7 +654,8 @@ impl SimJob {
     }
 
     fn execute(&self, store: &TraceStore) -> SimResult {
-        let mut image = self.prepared(store).image;
+        let prepared = self.prepared(store);
+        let mut image = Arc::clone(&prepared.image);
         if let Some(plan) = self.fault.as_ref().filter(|p| p.active(0)) {
             match plan.class {
                 // The whole point of the panic class: abort the worker
@@ -639,6 +684,13 @@ impl SimJob {
                     copy.sabotage(kind, plan.site);
                     image = Arc::new(copy);
                 }
+            }
+        }
+        // A sabotaged copy is a new image: it warms on itself.
+        let own_image = Arc::ptr_eq(&image, &prepared.image);
+        if self.warm && own_image {
+            if let Some(state) = prepared.kept_warm_state(&self.cfg.memory) {
+                return Simulator::simulate_restored(self.cfg.clone(), state, &image);
             }
         }
         let warmup = self.warm.then_some(&*image);
@@ -938,10 +990,11 @@ impl SimContext {
             "disk tier off".to_string()
         };
         out.push_str(&format!(
-            "trace store: {} traces ({} instructions, {:.1} MB resident), memory {} hits / {} misses, {} — {}\n",
+            "trace store: {} traces ({} instructions, {:.1} MB resident, {} warm states), memory {} hits / {} misses, {} — {}\n",
             stats.entries,
             stats.instructions,
             stats.resident_bytes as f64 / 1e6,
+            stats.warm_states,
             stats.hits,
             stats.misses,
             disk,
@@ -1088,6 +1141,7 @@ mod tests {
         let with_records = store.prepared_for_records(key(4));
         let s = store.stats();
         assert_eq!(s.materialized_traces, 1);
+        assert_eq!(s.warm_states, 0);
         let images = image_only.image.approx_bytes() + with_records.image.approx_bytes();
         assert_eq!(
             s.resident_bytes,
@@ -1096,10 +1150,87 @@ mod tests {
         // Asking the image-only entry for records grows the gauge by
         // exactly the derived trace.
         let derived = image_only.trace();
+        let s = store.stats();
+        assert_eq!(
+            s.resident_bytes,
+            (images + with_records.trace().approx_bytes() + derived.approx_bytes()) as u64
+        );
+        // A kept warm state grows it by exactly the state.
+        let job = SimJob::keyed(key(2), PipelineConfig::four_way());
+        let _ = BatchRunner::new(1).run(&store, &[job.clone(), job]);
+        let state = image_only
+            .cells
+            .warm
+            .get()
+            .expect("kept on the second warm replay");
+        assert_eq!(store.stats().warm_states, 1);
         assert_eq!(
             store.stats().resident_bytes,
-            s.resident_bytes + derived.approx_bytes() as u64
+            s.resident_bytes + state.approx_bytes() as u64
         );
+    }
+
+    /// An entry keeps its warm state on its second warm replay, through
+    /// either runner, and never before: cold replays do not count. Every
+    /// replay from the state equals the first one, which warmed on the
+    /// image. A job on another memory hierarchy warms on the image and
+    /// leaves the kept state alone.
+    #[test]
+    fn a_warm_state_is_kept_on_the_second_warm_replay() {
+        use crate::supervise::SupervisedRunner;
+        let store = TraceStore::new();
+        let plain = BatchRunner::new(1);
+        let job = SimJob::keyed(key(3), PipelineConfig::four_way());
+        let first = plain.run(&store, std::slice::from_ref(&job));
+        let _ = plain.run(&store, &[job.clone().cold(), job.clone().cold()]);
+        assert_eq!(
+            store.stats().warm_states,
+            0,
+            "one warm replay keeps nothing"
+        );
+
+        let supervised = SupervisedRunner::new(1).run(&store, std::slice::from_ref(&job));
+        assert_eq!(store.stats().warm_states, 1, "the second one keeps it");
+        assert_eq!(supervised[0].result(), Some(&first[0]));
+        assert_eq!(plain.run(&store, std::slice::from_ref(&job)), first);
+        assert_eq!(store.stats().warm_states, 1);
+
+        let mut other = PipelineConfig::four_way();
+        other.memory.l2_latency += 8;
+        let image = store.prepared(key(3)).image;
+        assert_eq!(
+            plain.run(&store, &[SimJob::keyed(key(3), other.clone())]),
+            vec![Simulator::simulate_image(
+                other.clone(),
+                Some(&image),
+                &image
+            )]
+        );
+        let kept = store.prepared(key(3));
+        let state = kept.cells.warm.get().expect("still kept");
+        assert_eq!(state.memory(), &PipelineConfig::four_way().memory);
+    }
+
+    /// Keyless (shared) traces and entries rebuilt after a corrupt store
+    /// file always warm on the image.
+    #[test]
+    fn shared_traces_and_rebuilt_entries_keep_no_warm_state() {
+        let memory = PipelineConfig::four_way().memory;
+        let trace = trace_kernel(KernelId::Sad(BlockSize::B8x8), Variant::Unaligned, 2, 7);
+        let shared = PreparedTrace::new(trace.into_shared());
+        let rebuilt = PreparedTrace::image_only(
+            key(2),
+            Arc::clone(&shared.image),
+            ImageProvenance::DiskRebuilt {
+                error: StoreError::BadMagic,
+            },
+        );
+        for entry in [shared, rebuilt] {
+            for _ in 0..3 {
+                assert!(entry.kept_warm_state(&memory).is_none());
+            }
+            assert!(entry.cells.warm.get().is_none());
+        }
     }
 
     /// A scratch on-disk tier under the system temp dir, removed on drop.

@@ -32,9 +32,12 @@
 //! verdict in the [`PreparedTrace`](crate::sim::PreparedTrace) (a
 //! [`VerifiedImage`] or the failing rung's error) and every later
 //! attempt reuses it. A decoded entry starts verified, because the
-//! store's decode ran both rungs. A fault that swaps in a sabotaged copy
-//! makes a new image, which climbs rungs 1 and 2 itself on every attempt
-//! and never inherits the entry's verdict. Rung 3 runs on every attempt.
+//! store's decode ran both rungs. Once verified, the entry also keeps
+//! its warm state from its second warm replay on, and later warm
+//! attempts start from it instead of walking the image. A fault that
+//! swaps in a sabotaged copy makes a new image, which climbs rungs 1 and
+//! 2 itself on every attempt, warms on itself and never inherits the
+//! entry's verdict or warm state. Rung 3 runs on every attempt.
 //!
 //! What happens on failure depends on what failed:
 //!
@@ -67,6 +70,7 @@ use valign_isa::Trace;
 use valign_pipeline::hash::hash_words;
 use valign_pipeline::{
     ReplayImage, RunGuards, SimError, SimResult, Simulator, StallInjection, VerifiedImage,
+    WarmState,
 };
 
 /// How a supervised job ended, in submission order. Every variant that
@@ -549,20 +553,23 @@ impl SupervisedRunner {
             }
         }
         // Rungs 1 and 2. A sabotaged copy is a new image: it climbs them
-        // itself and never inherits the entry's verdict, which the entry
-        // reaches once and keeps for every later job.
+        // itself and never inherits the entry's verdict or warm state,
+        // which the entry reaches once and keeps for every later job.
+        let own_image = sabotaged.is_none();
         let verified = match sabotaged {
             Some((copy, expected)) => verify_image(Arc::new(copy), expected),
             None => prepared.verified(),
         };
-        // Rung 3: the guarded walk, on every attempt.
+        // Rung 3: the guarded walk, on every attempt, from the entry's
+        // kept warm state when it has one, else warmed on the image.
         let replay = verified.and_then(|image| {
-            Simulator::try_simulate_verified(
-                job.cfg.clone(),
-                job.warm.then_some(&image),
-                &image,
-                &guards,
-            )
+            let memory = &job.cfg.memory;
+            let kept = (job.warm && own_image)
+                .then(|| prepared.kept_warm_state(memory))
+                .flatten();
+            let taken = (job.warm && kept.is_none()).then(|| WarmState::take(*memory, &image));
+            let warm = kept.or(taken.as_ref());
+            Simulator::try_simulate_verified(job.cfg.clone(), warm, &image, &guards)
         });
         match replay {
             Ok(result) => AttemptOutcome::Done(result),

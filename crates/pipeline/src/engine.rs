@@ -34,11 +34,17 @@
 //! predictor), optionally warmed first, and only reads the image or
 //! trace — so one shared image can be replayed concurrently by many jobs,
 //! the property the batch executor in `valign-core` relies on. The
-//! warm-up buys microarchitectural state and nothing else: the image
-//! paths warm *functionally* (`Simulator::warm`), touching the I-cache,
-//! the D-L1/L2 hierarchy and the branch predictor in program order with no
-//! timing at all, while the reference path keeps the timed warm-up walk
-//! and so remains the oracle for the functional one.
+//! warm-up buys microarchitectural state and nothing else — the
+//! [`Machine`]: I-cache, D-L1/L2 hierarchy and branch predictor. The
+//! image paths warm *functionally* ([`Machine::warmed`]), touching that
+//! state in program order with no timing at all, while the reference path
+//! keeps the timed warm-up walk and so remains the oracle for the
+//! functional one. The machine a warm-up leaves depends only on the image
+//! and the memory hierarchy, so a caller that replays one image many
+//! times can keep it as a [`WarmState`] — only the valid cache lines —
+//! and start each later replay from a restored copy
+//! ([`Simulator::simulate_restored`], [`Simulator::try_simulate_verified`])
+//! instead of walking the image again.
 
 use crate::attribution::{Bucket, Timeline};
 use crate::backend::{Backend, Ready};
@@ -51,7 +57,9 @@ use crate::latency::LatencyTable;
 use crate::lsu::{Lsu, MemAccess, MemExec};
 use crate::predictor::BranchPredictor;
 use crate::result::{SimError, SimResult};
-use valign_cache::{CacheConfig, Hierarchy, SetAssocCache};
+use valign_cache::{
+    BankScheme, CacheConfig, Hierarchy, HierarchyConfig, SetAssocCache, ValidLines,
+};
 use valign_isa::{DynInstr, MemKind, Opcode, StaticId, Trace};
 
 /// Integrity guards applied by the checked replay paths
@@ -160,7 +168,7 @@ struct Touch {
     branch: Option<(bool, bool)>,
 }
 
-/// A record source for [`Simulator::walk`] and [`Simulator::warm`]. The
+/// A record source for [`Simulator::walk`] and [`Machine::warm`]. The
 /// walk calls `record` for every index exactly once, in increasing order,
 /// then `mem_access` once if the record accesses memory and
 /// `branch_outcome` once if it is a branch; the warm-up calls `touch`
@@ -334,38 +342,177 @@ impl Records for ImageRecords<'_> {
     }
 }
 
-/// The cycle-accurate simulator: the machine state (caches and
-/// predictor) one job's replays run on. Jobs go through the entry points
-/// — [`Simulator::simulate_image`], the checked
-/// [`Simulator::try_simulate_image`] and
+/// The machine state that outlives a replay: the I-cache, the D-L1/L2
+/// [`Hierarchy`] and the [`BranchPredictor`]. Every replay starts on one —
+/// cold, functionally warmed ([`Machine::warmed`]) or restored from a
+/// kept [`WarmState`] — and per-replay stage state (queues, rings,
+/// packers) is rebuilt around it by each walk.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Machine {
+    icache: SetAssocCache,
+    mem: Hierarchy,
+    pred: BranchPredictor,
+}
+
+impl Machine {
+    /// Cold caches and predictor on `memory`.
+    fn cold(memory: HierarchyConfig) -> Self {
+        Machine {
+            // Table II: 32 KB direct-mapped I-L1 with 128-byte lines.
+            // Kernels are loop-resident, so after warm-up this is all
+            // hits; cold code pays the L2 latency per line.
+            icache: SetAssocCache::new(CacheConfig::new(32 * 1024, 128, 1)),
+            mem: Hierarchy::new(memory),
+            pred: BranchPredictor::new(),
+        }
+    }
+
+    /// A cold machine on `memory`, functionally warmed on `image`: the
+    /// machine every warm replay of `image` measures on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image`'s columns are shorter than its flag column; the
+    /// checked entry points validate images before they warm on them.
+    pub fn warmed(memory: HierarchyConfig, image: &ReplayImage) -> Self {
+        let mut machine = Machine::cold(memory);
+        machine.warm(ImageRecords::new(image));
+        machine
+    }
+
+    /// The functional warm-up: one pass over `records` in program order
+    /// that touches only the state outliving a replay — one I-cache access
+    /// per record, one [`Hierarchy`] access per memory record, one
+    /// predictor update per branch — and computes no timing. None of that
+    /// state depends on timing, and the bank scheme changes latency only,
+    /// so the machine it leaves, statistics included, is the one a timed
+    /// [`Simulator::walk`] of `records` leaves on any configuration with
+    /// this memory hierarchy.
+    fn warm<R: Records>(&mut self, mut records: R) {
+        for idx in 0..records.len() {
+            let t = records.touch(idx);
+            self.icache.access(t.sid.pc(), false);
+            if let Some((addr, bytes, kind)) = t.mem {
+                self.mem.access(
+                    addr,
+                    u32::from(bytes),
+                    kind == MemKind::Store,
+                    BankScheme::TwoBankInterleaved,
+                );
+            }
+            if let Some((taken, unconditional)) = t.branch {
+                self.pred.access(t.sid, taken, unconditional);
+            }
+        }
+    }
+}
+
+/// A [`Machine`] kept compactly between replays: the valid lines of the
+/// I-cache, the D-L1 and the L2, each with its LRU clock and statistics,
+/// the whole [`BranchPredictor`], and the [`HierarchyConfig`] it was taken
+/// on. Kernels touch few lines, so this is a small fraction of the
+/// machine's dense form (mostly invalid L2 ways).
+/// [`WarmState::restore`] gives back exactly the machine it was taken
+/// from, cumulative counters included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WarmState {
+    memory: HierarchyConfig,
+    icache: ValidLines,
+    l1d: ValidLines,
+    l2: ValidLines,
+    pred: BranchPredictor,
+}
+
+impl WarmState {
+    /// The state [`Machine::warmed`] leaves on `memory` and `image`, kept.
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::warmed`].
+    pub fn take(memory: HierarchyConfig, image: &ReplayImage) -> Self {
+        let machine = Machine::warmed(memory, image);
+        let (l1d, l2) = machine.mem.valid_lines();
+        WarmState {
+            memory,
+            icache: machine.icache.valid_lines(),
+            l1d,
+            l2,
+            pred: machine.pred,
+        }
+    }
+
+    /// The machine this state was taken from.
+    pub fn restore(&self) -> Machine {
+        Machine {
+            icache: SetAssocCache::from_valid_lines(&self.icache),
+            mem: Hierarchy::from_valid_lines(self.memory, &self.l1d, &self.l2),
+            pred: self.pred.clone(),
+        }
+    }
+
+    /// The memory hierarchy the state was taken on; it can only be
+    /// restored under a configuration with the same one.
+    pub fn memory(&self) -> &HierarchyConfig {
+        &self.memory
+    }
+
+    /// Approximate heap plus inline bytes.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<HierarchyConfig>()
+            + self.icache.approx_bytes()
+            + self.l1d.approx_bytes()
+            + self.l2.approx_bytes()
+            + self.pred.approx_bytes()
+    }
+}
+
+/// The cycle-accurate simulator: one job's [`Machine`] and the
+/// configuration it is timed under. Jobs go through the entry points —
+/// [`Simulator::simulate_image`], [`Simulator::simulate_restored`], the
+/// checked [`Simulator::try_simulate_image`] and
 /// [`Simulator::try_simulate_verified`], and
-/// [`Simulator::simulate_reference`] — each of which builds a fresh
+/// [`Simulator::simulate_reference`] — each of which starts from a fresh
 /// machine.
 #[derive(Debug)]
 pub struct Simulator {
     cfg: PipelineConfig,
     lat: LatencyTable,
-    mem: Hierarchy,
-    icache: SetAssocCache,
-    pred: BranchPredictor,
+    machine: Machine,
 }
 
 impl Simulator {
-    /// Builds a simulator with cold caches and predictor.
-    fn new(cfg: PipelineConfig) -> Self {
-        let mem = Hierarchy::new(cfg.memory);
-        // Table II: 32 KB direct-mapped I-L1 with 128-byte lines. Kernels
-        // are loop-resident, so after warm-up this is all hits; cold code
-        // pays the L2 latency per line.
-        let icache = SetAssocCache::new(CacheConfig::new(32 * 1024, 128, 1));
+    /// A simulator for `cfg` on `machine`.
+    fn on(cfg: PipelineConfig, machine: Machine) -> Self {
         let lat = LatencyTable::for_config(&cfg);
-        Simulator {
-            cfg,
-            lat,
-            mem,
-            icache,
-            pred: BranchPredictor::new(),
-        }
+        Simulator { cfg, lat, machine }
+    }
+
+    /// A simulator for `cfg` on a cold machine.
+    fn new(cfg: PipelineConfig) -> Self {
+        Self::warmed(cfg, None)
+    }
+
+    /// A simulator for `cfg`, functionally warmed on `warmup` when given.
+    fn warmed(cfg: PipelineConfig, warmup: Option<&ReplayImage>) -> Self {
+        let machine = match warmup {
+            Some(w) => Machine::warmed(cfg.memory, w),
+            None => Machine::cold(cfg.memory),
+        };
+        Self::on(cfg, machine)
+    }
+
+    /// A simulator for `cfg` on the machine `state` restores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was taken on another memory hierarchy than
+    /// `cfg.memory`.
+    fn restored(cfg: PipelineConfig, state: &WarmState) -> Self {
+        assert_eq!(
+            state.memory, cfg.memory,
+            "warm state taken on another memory hierarchy"
+        );
+        Self::on(cfg, state.restore())
     }
 
     /// Simulates a prebuilt [`ReplayImage`] on a fresh machine with `cfg`,
@@ -385,8 +532,29 @@ impl Simulator {
         warmup: Option<&ReplayImage>,
         image: &ReplayImage,
     ) -> SimResult {
-        Self::warmed(cfg, warmup)
-            .walk::<_, false>(ImageRecords::new(image), &RunGuards::default())
+        Self::warmed(cfg, warmup).replay(image)
+    }
+
+    /// [`Simulator::simulate_image`] on the machine `warm` restores
+    /// instead of a warm-up walk: bit-identical to
+    /// `simulate_image(cfg, Some(w), image)` when `warm` is
+    /// [`WarmState::take`]`(cfg.memory, w)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::simulate_image`], and if `warm` was taken on
+    /// another memory hierarchy than `cfg.memory`.
+    pub fn simulate_restored(
+        cfg: PipelineConfig,
+        warm: &WarmState,
+        image: &ReplayImage,
+    ) -> SimResult {
+        Self::restored(cfg, warm).replay(image)
+    }
+
+    /// The unguarded image walk both unchecked image entry points share.
+    fn replay(mut self, image: &ReplayImage) -> SimResult {
+        self.walk::<_, false>(ImageRecords::new(image), &RunGuards::default())
             .unwrap_or_else(|e| panic!("replay failed: {e}"))
     }
 
@@ -410,32 +578,31 @@ impl Simulator {
             warm.validate()?;
         }
         image.validate()?;
-        Self::guarded(cfg, warmup, image, guards)
+        Self::warmed(cfg, warmup).walk::<_, true>(ImageRecords::new(image), guards)
     }
 
-    /// [`Simulator::try_simulate_image`] on images already proven
-    /// well-formed: the same guarded walk (watchdog, injected stall,
-    /// dependence-window check) without validating again.
-    /// The supervisor proves each store entry once and replays it here
-    /// on every job.
+    /// [`Simulator::try_simulate_image`] on an image already proven
+    /// well-formed, starting from the machine `warm` restores (cold when
+    /// `None`): the same guarded walk (watchdog, injected stall,
+    /// dependence-window check) without validating again and without a
+    /// warm-up walk. The supervisor proves each store entry once and
+    /// replays it here on every job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm` was taken on another memory hierarchy than
+    /// `cfg.memory`.
     pub fn try_simulate_verified(
         cfg: PipelineConfig,
-        warmup: Option<&VerifiedImage>,
+        warm: Option<&WarmState>,
         image: &VerifiedImage,
         guards: &RunGuards,
     ) -> Result<SimResult, SimError> {
-        Self::guarded(cfg, warmup.map(|w| &**w), image, guards)
-    }
-
-    /// The guarded walk both checked entry points share; callers have
-    /// validated `warmup` and `image`.
-    fn guarded(
-        cfg: PipelineConfig,
-        warmup: Option<&ReplayImage>,
-        image: &ReplayImage,
-        guards: &RunGuards,
-    ) -> Result<SimResult, SimError> {
-        Self::warmed(cfg, warmup).walk::<_, true>(ImageRecords::new(image), guards)
+        let mut sim = match warm {
+            Some(state) => Self::restored(cfg, state),
+            None => Self::new(cfg),
+        };
+        sim.walk::<_, true>(ImageRecords::new(image), guards)
     }
 
     /// Simulates `trace` record by record, straight off the AoS
@@ -465,37 +632,6 @@ impl Simulator {
         walk(trace.instrs())
     }
 
-    /// A fresh machine, functionally warmed on `warmup` when given.
-    fn warmed(cfg: PipelineConfig, warmup: Option<&ReplayImage>) -> Self {
-        let mut sim = Simulator::new(cfg);
-        if let Some(w) = warmup {
-            sim.warm(ImageRecords::new(w));
-        }
-        sim
-    }
-
-    /// The functional warm-up: one pass over `records` in program order
-    /// that touches only the state outliving a replay — one I-cache access
-    /// per record, one [`Hierarchy`] access per memory record, one
-    /// predictor update per branch — and computes no timing. None of that
-    /// state depends on timing (the bank scheme changes latency only), so
-    /// the machine it leaves, statistics included, is the one a timed
-    /// [`Simulator::walk`] of `records` leaves.
-    fn warm<R: Records>(&mut self, mut records: R) {
-        let banks = self.cfg.realign.banks;
-        for idx in 0..records.len() {
-            let t = records.touch(idx);
-            self.icache.access(t.sid.pc(), false);
-            if let Some((addr, bytes, kind)) = t.mem {
-                self.mem
-                    .access(addr, u32::from(bytes), kind == MemKind::Store, banks);
-            }
-            if let Some((taken, unconditional)) = t.branch {
-                self.pred.access(t.sid, taken, unconditional);
-            }
-        }
-    }
-
     /// The replay walk: one forward pass over `records` through the three
     /// stages. Microarchitectural state (caches, predictor) persists
     /// across walks; per-replay stage state (queues, rings, packers) is
@@ -519,9 +655,10 @@ impl Simulator {
             return Ok(result);
         }
 
-        let mut frontend = Frontend::new(&self.cfg, &mut self.icache);
+        let machine = &mut self.machine;
+        let mut frontend = Frontend::new(&self.cfg, &mut machine.icache);
         let mut backend = Backend::new(&self.cfg);
-        let mut lsu = Lsu::new(&self.cfg, &mut self.mem);
+        let mut lsu = Lsu::new(&self.cfg, &mut machine.mem);
 
         for idx in 0..n {
             let rec = records.record(idx);
@@ -571,7 +708,7 @@ impl Simulator {
             // ---- branch resolution ----
             if is_branch {
                 let (taken, unconditional) = records.branch_outcome(idx);
-                let mispredicted = self.pred.access(rec.sid, taken, unconditional);
+                let mispredicted = machine.pred.access(rec.sid, taken, unconditional);
                 frontend.apply_branch(mispredicted, taken, complete);
             }
 
@@ -607,9 +744,9 @@ impl Simulator {
         }
 
         result.cycles = backend.last_retire();
-        result.predictor = self.pred.stats();
-        result.l1 = self.mem.l1_stats();
-        result.l2 = self.mem.l2_stats();
+        result.predictor = machine.pred.stats();
+        result.l1 = machine.mem.l1_stats();
+        result.l2 = machine.mem.l2_stats();
         debug_assert!(
             result.breakdown.conserves(result.cycles),
             "attribution lost cycles: {} attributed vs {} total",
@@ -1038,9 +1175,14 @@ mod tests {
         let guards = RunGuards::default();
 
         let proven = VerifiedImage::new(clean.clone().into_shared()).expect("clean image");
+        let warm = WarmState::take(cfg.memory, &proven);
         assert_eq!(
-            Simulator::try_simulate_verified(cfg.clone(), Some(&proven), &proven, &guards),
+            Simulator::try_simulate_verified(cfg.clone(), Some(&warm), &proven, &guards),
             Ok(Simulator::simulate_image(cfg.clone(), Some(&clean), &clean))
+        );
+        assert_eq!(
+            Simulator::try_simulate_verified(cfg.clone(), None, &proven, &guards),
+            Ok(Simulator::simulate_image(cfg.clone(), None, &clean))
         );
 
         // The constructor is validate(): it refuses exactly what the
@@ -1069,7 +1211,8 @@ mod tests {
         assert!(img.sabotage(Sabotage::DepOverflow, 11));
         let proven = VerifiedImage::new(img.into_shared())
             .unwrap_or_else(|e| panic!("DepOverflow passes static validation, got {e}"));
-        let err = Simulator::try_simulate_verified(cfg, Some(&proven), &proven, &guards)
+        let warm = WarmState::take(cfg.memory, &proven);
+        let err = Simulator::try_simulate_verified(cfg, Some(&warm), &proven, &guards)
             .expect_err("the guarded walk must catch it");
         assert!(matches!(err, SimError::DepOutOfWindow { .. }), "{err}");
     }
@@ -1143,14 +1286,6 @@ mod tests {
         let trace = mixed_trace(300, 3);
         let image = ReplayImage::build(&trace);
         let guards = RunGuards::default();
-        let state = |sim: &Simulator| {
-            (
-                sim.icache.stats(),
-                sim.mem.l1_stats(),
-                sim.mem.l2_stats(),
-                sim.pred.stats(),
-            )
-        };
         let single_bank = RealignConfig {
             banks: valign_cache::BankScheme::SingleBank,
             ..RealignConfig::proposed()
@@ -1163,23 +1298,47 @@ mod tests {
                 .walk::<_, false>(trace.instrs(), &guards)
                 .expect("clean trace");
             let mut from_records = Simulator::new(cfg.clone());
-            from_records.warm(trace.instrs());
-            let mut from_image = Simulator::new(cfg.clone());
-            from_image.warm(ImageRecords::new(&image));
-            let expected = state(&timed);
-            assert!(expected.1.hits > 0 && expected.3.branches > 0);
-            assert_eq!(expected, state(&from_records), "{}", cfg.name);
-            assert_eq!(expected, state(&from_image), "{}", cfg.name);
-            // The state the statistics do not show (tags, LRU order,
-            // counters, history) must match too: the next walk sees it.
-            let next = |sim: &mut Simulator| {
-                sim.walk::<_, false>(ImageRecords::new(&image), &guards)
-                    .expect("clean image")
-            };
-            let after_timed = next(&mut timed);
-            assert_eq!(after_timed, next(&mut from_records), "{}", cfg.name);
-            assert_eq!(after_timed, next(&mut from_image), "{}", cfg.name);
+            from_records.machine.warm(trace.instrs());
+            let from_image = Machine::warmed(cfg.memory, &image);
+            let stats = &timed.machine;
+            assert!(stats.mem.l1_stats().hits > 0 && stats.pred.stats().branches > 0);
+            // Tags, LRU order and clocks, counters, history: everything
+            // the next walk sees, and the statistics it reports.
+            assert_eq!(timed.machine, from_records.machine, "{}", cfg.name);
+            assert_eq!(timed.machine, from_image, "{}", cfg.name);
         }
+    }
+
+    #[test]
+    fn a_restored_warm_state_is_the_warmed_machine() {
+        let memory = PipelineConfig::four_way().memory;
+        for trace in [mixed_trace(300, 3), mixed_trace(40, 5), Trace::new()] {
+            let image = ReplayImage::build(&trace);
+            let warmed = Machine::warmed(memory, &image);
+            let state = WarmState::take(memory, &image);
+            assert_eq!(state.restore(), warmed);
+            // The kept form is a small fraction of the dense machine,
+            // whose L2 alone is 8,192 lines.
+            assert!(state.approx_bytes() < 32 * 1024, "{}", state.approx_bytes());
+            for cfg in PipelineConfig::table_ii() {
+                assert_eq!(
+                    Simulator::simulate_restored(cfg.clone(), &state, &image),
+                    Simulator::simulate_image(cfg.clone(), Some(&image), &image),
+                    "{}",
+                    cfg.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another memory hierarchy")]
+    fn a_warm_state_is_refused_on_another_hierarchy() {
+        let image = ReplayImage::build(&mixed_trace(40, 5));
+        let state = WarmState::take(PipelineConfig::four_way().memory, &image);
+        let mut cfg = PipelineConfig::four_way();
+        cfg.memory.l2_latency += 1;
+        let _ = Simulator::simulate_restored(cfg, &state, &image);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   ([`Simulator::simulate_image`]). One replay walk serves both the
 //!   image and the record-form trace ([`Simulator::simulate_reference`]),
 //!   the reference the image is equivalence-tested against;
+//! * a functional warm-up ([`Machine::warmed`]) whose result can be kept
+//!   compactly as a [`WarmState`] — the valid cache lines and the
+//!   predictor — so an image replayed warm many times is walked for its
+//!   warm-up once ([`Simulator::simulate_restored`]);
 //! * cycle attribution (see [`attribution`]): every replayed cycle charged
 //!   to exactly one stall bucket in the [`StallBreakdown`] carried by each
 //!   [`SimResult`], with `sum(buckets) == cycles` guaranteed;
@@ -28,7 +32,8 @@
 //!   ([`ReplayImage::validate`]) on every call;
 //!   [`Simulator::try_simulate_verified`] takes a [`VerifiedImage`], whose
 //!   only constructor validates, so an image proven once (checksums via
-//!   [`hash`]) is replayed on every later job without re-checking.
+//!   [`hash`]) is replayed on every later job without re-checking, from
+//!   a [`WarmState`] rather than a warm-up walk.
 //!
 //! ## Example
 //!
@@ -74,7 +79,7 @@ pub mod result;
 pub use attribution::{Bucket, StallBreakdown};
 pub use config::{IssuePolicy, PipelineConfig};
 pub use costmodel::CostBounds;
-pub use engine::{RunGuards, Simulator, StallInjection};
+pub use engine::{Machine, RunGuards, Simulator, StallInjection, WarmState};
 pub use hash::WordHash;
 pub use image::{AuditSabotage, ReplayImage, Sabotage, VerifiedImage};
 pub use latency::{Latency, LatencyTable};

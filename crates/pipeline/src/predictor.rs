@@ -29,7 +29,7 @@ impl PredictorStats {
 }
 
 /// Gshare + BTB branch predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
     history: u64,
@@ -62,6 +62,11 @@ impl BranchPredictor {
     /// Accumulated statistics.
     pub fn stats(&self) -> PredictorStats {
         self.stats
+    }
+
+    /// Approximate heap plus inline bytes.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.counters.capacity() + self.btb.capacity()
     }
 
     fn index(&self, sid: StaticId) -> usize {

@@ -2,11 +2,14 @@
 //! deterministic across thread counts, and shared-trace replays are pure.
 
 use proptest::prelude::*;
+use valign::cache::RealignConfig;
 use valign::core::experiments::{fig8, fig9, table3};
 use valign::core::sim::{SimContext, TraceKey, TraceStore};
 use valign::core::workload::{trace_kernel, KernelId};
 use valign::kernels::util::Variant;
-use valign::pipeline::{PipelineConfig, ReplayImage, Simulator};
+use valign::pipeline::{
+    Machine, PipelineConfig, ReplayImage, RunGuards, Simulator, VerifiedImage, WarmState,
+};
 
 /// The whole Fig. 8 report — 99 jobs over 33 shared traces — is
 /// byte-identical whether replayed serially or on 2 or 8 workers.
@@ -113,4 +116,63 @@ fn replay_images_stay_within_sixteen_bytes_per_record() {
         "{bytes} image bytes for {records} records ({:.2} B/record)",
         bytes as f64 / records as f64
     );
+}
+
+/// The 33-key matrix images at `execs` executions.
+fn matrix_images(execs: usize) -> impl Iterator<Item = (String, ReplayImage)> {
+    KernelId::ALL.iter().flat_map(move |&kernel| {
+        Variant::ALL.iter().map(move |&variant| {
+            let label = format!("{}.{}", kernel.label(), variant.label());
+            let image = ReplayImage::build(&trace_kernel(kernel, variant, execs, 20070425));
+            (label, image)
+        })
+    })
+}
+
+/// A kept warm state restores exactly the machine the functional warm-up
+/// leaves — cache lines, LRU clocks, statistics and predictor — and
+/// replaying from it is bit-identical to warming on the image, on every
+/// matrix image × Table II config × default and equal-latency
+/// realignment, through the unchecked and the guarded entry points.
+#[test]
+fn kept_warm_states_replay_bit_identically_across_the_matrix() {
+    for (label, image) in matrix_images(20) {
+        let proven = VerifiedImage::new(image.clone().into_shared()).expect("clean image");
+        for base in PipelineConfig::table_ii() {
+            let state = WarmState::take(base.memory, &image);
+            assert_eq!(
+                state.restore(),
+                Machine::warmed(base.memory, &image),
+                "{label} [{}]",
+                base.name
+            );
+            for cfg in [
+                base.clone(),
+                base.clone().with_realign(RealignConfig::equal_latency()),
+            ] {
+                let warmed = Simulator::simulate_image(cfg.clone(), Some(&image), &image);
+                let restored = Simulator::simulate_restored(cfg.clone(), &state, &image);
+                assert_eq!(warmed, restored, "{label} [{}]", cfg.name);
+                let guarded = Simulator::try_simulate_verified(
+                    cfg.clone(),
+                    Some(&state),
+                    &proven,
+                    &RunGuards::default(),
+                );
+                assert_eq!(Ok(warmed), guarded, "{label} [{}] guarded", cfg.name);
+            }
+        }
+    }
+}
+
+/// Kernel working sets are small, so a kept warm state is mostly the
+/// predictor's tables plus a few hundred valid L2 lines: at most 64 KiB
+/// per key at the sweep's 200 executions.
+#[test]
+fn kept_warm_states_stay_within_64_kib_per_key() {
+    let memory = PipelineConfig::four_way().memory;
+    for (label, image) in matrix_images(200) {
+        let bytes = WarmState::take(memory, &image).approx_bytes();
+        assert!(bytes <= 64 * 1024, "{label}: {bytes} bytes");
+    }
 }

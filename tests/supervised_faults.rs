@@ -200,6 +200,67 @@ fn a_panicking_job_cannot_poison_the_batch_runner() {
     }
 }
 
+/// Image faults replay a sabotaged copy of the entry's image, which must
+/// warm on itself: it never fills the entry's kept warm state and never
+/// starts from one. So on a store whose entry keeps a state, a faulted
+/// job's outcome is the one it has on a store that never kept any —
+/// through the supervisor and through the plain runner (which replays a
+/// copy unvalidated, so a copy warmed from the clean state would show).
+/// A panic ends the job before any replay. A stall, and a corrupt store
+/// file on the plain runner (which reads no store files), replay the
+/// entry's own image and may use its state; their outcomes must not
+/// change either.
+#[test]
+fn sabotaged_copies_never_fill_or_read_the_kept_warm_state() {
+    use valign::core::faults::{fault_site, FaultPlan};
+    let job = SimJob::keyed(
+        key(KernelId::Luma(BlockSize::B8x8), Variant::Unaligned),
+        PipelineConfig::four_way(),
+    );
+    let classes = FaultClass::ALL.iter().filter(|c| {
+        !matches!(
+            c,
+            FaultClass::IoError
+                | FaultClass::ShortWrite
+                | FaultClass::TornFrame
+                | FaultClass::Disconnect
+        )
+    });
+    for &class in classes {
+        let spec = format!("{}:*", class.label());
+        let supervised = |store: &TraceStore| {
+            SupervisedRunner::new(1)
+                .with_faults(faults(&spec))
+                .run(store, std::slice::from_ref(&job))
+        };
+        let plan = FaultPlan {
+            class,
+            site: fault_site(7, &job.label(), class),
+        };
+        let faulted = [job.clone().with_fault(plan)];
+        let plain = |store: &TraceStore| BatchRunner::new(1).try_run(store, &faulted);
+
+        // Twice each on a fresh store: a second replay would keep a
+        // state if the copies counted as the entry's image.
+        let fresh = TraceStore::new();
+        let expected = (supervised(&fresh), plain(&fresh));
+        assert_eq!(supervised(&fresh), expected.0, "{spec}");
+        assert_eq!(plain(&fresh), expected.1, "{spec}");
+        if class != FaultClass::Stall && class != FaultClass::DiskCorrupt {
+            assert_eq!(fresh.stats().warm_states, 0, "{spec} filled the state");
+        }
+
+        // On an entry that keeps a state, the faulted job is unchanged.
+        let kept = TraceStore::new();
+        let clean = SupervisedRunner::new(1).run(&kept, &[job.clone(), job.clone()]);
+        assert_eq!(kept.stats().warm_states, 1);
+        assert_eq!(clean[0], clean[1]);
+        assert_eq!(supervised(&kept), expected.0, "{spec} read the state");
+        assert_eq!(plain(&kept), expected.1, "{spec} read the state");
+        assert_eq!(kept.stats().warm_states, 1);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
