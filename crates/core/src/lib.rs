@@ -66,4 +66,4 @@ pub use sim::{
 };
 pub use store_ops::{PackEntry, PackReport};
 pub use supervise::{JobFailure, JobOutcome, OutcomeTally, SupervisedRunner, SupervisorConfig};
-pub use workload::{trace_kernel, KernelId, Workload};
+pub use workload::{image_kernel, trace_kernel, KernelId, Workload};

@@ -13,13 +13,15 @@
 //!   replays the key. Every entry is *image-only*, however it was filled:
 //!   it keeps the packed [`ReplayImage`] the replay loop walks, and
 //!   re-derives the record-form `Trace` from its key only when someone
-//!   asks for records. A build traces the key, compiles the image and
-//!   drops the trace before the entry is published — unless the lookup
-//!   came through [`TraceStore::prepared_for_records`], whose caller is
-//!   about to read the records anyway. Distinct keys materialize in
-//!   parallel; each key is materialized exactly once no matter how many
-//!   jobs or threads request it. With [`TraceStore::with_disk`] a
-//!   persistent tier sits behind it: a memory miss first tries the
+//!   asks for records. A build compiles each kernel execution's records
+//!   into the image as the VM emits them, so no record-form trace is
+//!   ever staged — unless the lookup came through
+//!   [`TraceStore::prepared_for_records`], whose caller is about to read
+//!   the records anyway and gets the trace kept beside the image.
+//!   Distinct keys materialize in parallel; each key is materialized
+//!   exactly once no matter how many jobs or threads request it. With
+//!   [`TraceStore::with_disk`] a persistent tier sits behind it: a
+//!   memory miss first tries the
 //!   content-addressed image file (`{content_hash:016x}.vimg` under the
 //!   store directory, see `valign-store`), and only a disk miss traces
 //!   and compiles the image — then writes it back, so the next process
@@ -57,7 +59,7 @@
 
 use crate::faults::{FaultClass, FaultPlan, FaultSet};
 use crate::supervise::{verify_image, OutcomeTally};
-use crate::workload::{trace_kernel, KernelId};
+use crate::workload::{image_kernel, trace_kernel, KernelId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -404,8 +406,8 @@ impl TraceStore {
     /// verified image file exists, else by tracing and compiling from
     /// source. Repeated calls share the same `Arc`s, so every machine
     /// configuration and worker thread replays one image per key. A build
-    /// drops its trace once the image exists; the entry re-derives
-    /// records only if someone asks.
+    /// compiles records as they are traced and keeps none; the entry
+    /// re-derives records only if someone asks.
     pub fn prepared(&self, key: TraceKey) -> PreparedTrace {
         self.lookup(key, false)
     }
@@ -550,16 +552,20 @@ impl TraceStore {
     }
 }
 
-/// Traces `key` and compiles its image-only entry. The trace is dropped
-/// here unless `keep_trace` (the caller is about to read records): no
-/// replay reads it, and it is about three times the image's size.
+/// Traces `key` and compiles its image-only entry. Unless `keep_trace`
+/// (the caller is about to read records), the image is compiled as the
+/// VM emits each execution's records ([`image_kernel`]), so the
+/// record-form trace — about four times the image's size, and read by no
+/// replay — is never staged.
 fn build(key: TraceKey, provenance: ImageProvenance, keep_trace: bool) -> PreparedTrace {
+    if !keep_trace {
+        let image = image_kernel(key.kernel, key.variant, key.execs, key.seed);
+        return PreparedTrace::image_only(key, image.into_shared(), provenance);
+    }
     let trace = trace_kernel(key.kernel, key.variant, key.execs, key.seed);
     let image = ReplayImage::build(&trace).into_shared();
     let prepared = PreparedTrace::image_only(key, image, provenance);
-    if keep_trace {
-        let _ = prepared.cells.records.set(trace.into_shared());
-    }
+    let _ = prepared.cells.records.set(trace.into_shared());
     prepared
 }
 

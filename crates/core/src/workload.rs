@@ -16,6 +16,7 @@ use valign_kernels::idct::{idct4x4, idct4x4_matrix, idct8x8, setup_matrix_consts
 use valign_kernels::luma::{luma_hv, McArgs};
 use valign_kernels::sad::{sad, SadArgs};
 use valign_kernels::util::Variant;
+use valign_pipeline::{ImageBuilder, ReplayImage};
 use valign_vm::Vm;
 
 /// The kernels of the paper's evaluation (Fig. 8's x-axis).
@@ -162,6 +163,21 @@ impl Workload {
         self.vm.take_trace()
     }
 
+    /// [`Workload::trace`] compiled straight into its replay image: the
+    /// records of each kernel execution go into an [`ImageBuilder`] as
+    /// soon as it returns, so only one execution's records are ever
+    /// buffered. The image equals `ReplayImage::build(&self.trace(..))`
+    /// on the same workload.
+    pub fn trace_image(&mut self, kernel: KernelId, variant: Variant, execs: usize) -> ReplayImage {
+        self.vm.clear_trace();
+        let mut builder = ImageBuilder::new();
+        for e in 0..execs {
+            self.run_once(kernel, variant, e);
+            self.vm.drain_records(|record| builder.push(record));
+        }
+        builder.finish()
+    }
+
     /// Exclusive upper bound of the VM memory image. All allocation
     /// happens in [`Workload::new`], so every effective address in a trace
     /// of this workload lies in `[valign_vm::MEM_BASE, mem_limit())` — the
@@ -272,6 +288,12 @@ impl Workload {
 /// workload.
 pub fn trace_kernel(kernel: KernelId, variant: Variant, execs: usize, seed: u64) -> Trace {
     Workload::new(seed).trace(kernel, variant, execs)
+}
+
+/// The replay image of [`trace_kernel`]'s trace, compiled as the VM emits
+/// it ([`Workload::trace_image`]) without staging the trace.
+pub fn image_kernel(kernel: KernelId, variant: Variant, execs: usize, seed: u64) -> ReplayImage {
+    Workload::new(seed).trace_image(kernel, variant, execs)
 }
 
 #[cfg(test)]

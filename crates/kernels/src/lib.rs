@@ -55,6 +55,6 @@ pub use cabac::{cabac_decode_bins, setup_cabac, CabacLayout};
 pub use chroma::{chroma_bilin, ChromaArgs};
 pub use deblock::{deblock_vertical_luma, DeblockArgs};
 pub use idct::{idct4x4, idct4x4_matrix, idct8x8, setup_matrix_consts, IdctArgs};
-pub use luma::{luma_h, luma_hv, luma_v, McArgs};
+pub use luma::{luma_hv, McArgs};
 pub use sad::{sad, SadArgs};
 pub use util::Variant;

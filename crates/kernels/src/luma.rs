@@ -76,256 +76,6 @@ pub fn luma_hv(vm: &mut Vm, variant: Variant, args: &McArgs) {
     }
 }
 
-/// Runs the horizontal-only half-pel luma interpolation (`dx=2, dy=0`) in
-/// the chosen variant: one 6-tap pass with 5-bit rounding, no scratch
-/// buffer needed.
-///
-/// # Panics
-///
-/// Panics on invalid [`McArgs`] (the `scratch` field is accepted but
-/// unused).
-pub fn luma_h(vm: &mut Vm, variant: Variant, args: &McArgs) {
-    args.validate();
-    match variant {
-        Variant::Scalar => luma_h_scalar(vm, args),
-        Variant::Altivec | Variant::Unaligned => luma_h_vector(vm, variant, args),
-    }
-}
-
-fn luma_h_scalar(vm: &mut Vm, args: &McArgs) {
-    let (w, h) = (args.w, args.h);
-    let src0 = vm.li((args.src as i64) - 2);
-    let dst0 = vm.li(args.dst as i64);
-    let mut srow = src0;
-    let mut drow = dst0;
-    let lp = vm.label();
-    for y in 0..h {
-        for x in 0..w {
-            let x = x as i64;
-            let e = vm.lbz(srow, x);
-            let f = vm.lbz(srow, x + 1);
-            let g = vm.lbz(srow, x + 2);
-            let hh = vm.lbz(srow, x + 3);
-            let i = vm.lbz(srow, x + 4);
-            let j = vm.lbz(srow, x + 5);
-            let raw = filter6_scalar(vm, e, f, g, hh, i, j);
-            let rounded = vm.addi(raw, 16);
-            let shifted = vm.srawi(rounded, 5);
-            let clipped = scalar_clip8(vm, shifted);
-            vm.stb(clipped, drow, x);
-        }
-        srow = vm.addi(srow, args.src_stride);
-        drow = vm.addi(drow, args.dst_stride);
-        let c = vm.cmpwi(drow, 0);
-        vm.bc(c, y + 1 != h, lp);
-    }
-}
-
-fn luma_h_vector(vm: &mut Vm, variant: Variant, args: &McArgs) {
-    let ctx = vec_ctx(vm);
-    let (w, h) = (args.w, args.h);
-    let wide = w == 16;
-    let v16 = const_u16(vm, 16);
-    let v5s = vm.vspltish(5);
-
-    let masks: [Option<Vector>; 6] = if variant == Variant::Altivec {
-        std::array::from_fn(|k| {
-            let base = vm.li((args.src as i64) - 2 + k as i64);
-            Some(realign_mask(vm, ctx.i0, base))
-        })
-    } else {
-        [None; 6]
-    };
-
-    let store_mask = if w < 16 {
-        Some(store_masks(vm, w as u8))
-    } else {
-        None
-    };
-    let dst0 = vm.li(args.dst as i64);
-    let dst_rot = if variant == Variant::Altivec && w < 16 {
-        Some(vm.lvsr(ctx.i0, dst0))
-    } else {
-        None
-    };
-
-    let src0 = vm.li((args.src as i64) - 2);
-    let mut srow = src0;
-    let mut drow = dst0;
-    let lp = vm.label();
-    for y in 0..h {
-        let mut win = [ctx.vzero; 6];
-        for (k, slot) in win.iter_mut().enumerate() {
-            let base = vm.addi(srow, k as i64);
-            *slot = vload_unaligned(vm, variant, ctx.i0, ctx.i15, base, masks[k]);
-        }
-        let finish = |vm: &mut Vm, raw: Vector| {
-            let r = vm.vadduhm(raw, v16);
-            vm.vsrah(r, v5s)
-        };
-        let raw_hi = hfilter_half(vm, &ctx, &win, true);
-        let r_hi = finish(vm, raw_hi);
-        let packed = if wide {
-            let raw_lo = hfilter_half(vm, &ctx, &win, false);
-            let r_lo = finish(vm, raw_lo);
-            vm.vpkshus(r_hi, r_lo)
-        } else {
-            vm.vpkshus(r_hi, r_hi)
-        };
-        if wide {
-            vm.stvx(packed, ctx.i0, drow);
-        } else {
-            vstore_partial(
-                vm,
-                variant,
-                packed,
-                store_mask.as_ref().expect("mask built for narrow blocks"),
-                ctx.i0,
-                drow,
-                w as u8,
-                dst_rot,
-            );
-        }
-        srow = vm.addi(srow, args.src_stride);
-        drow = vm.addi(drow, args.dst_stride);
-        let c = vm.cmpwi(drow, 0);
-        vm.bc(c, y + 1 != h, lp);
-    }
-}
-
-/// Runs the vertical-only half-pel luma interpolation (`dx=0, dy=2`):
-/// one 6-tap pass down the rows with 5-bit rounding, using a sliding
-/// window of six source rows (one load per output row).
-///
-/// # Panics
-///
-/// Panics on invalid [`McArgs`] (`scratch` is accepted but unused).
-pub fn luma_v(vm: &mut Vm, variant: Variant, args: &McArgs) {
-    args.validate();
-    match variant {
-        Variant::Scalar => luma_v_scalar(vm, args),
-        Variant::Altivec | Variant::Unaligned => luma_v_vector(vm, variant, args),
-    }
-}
-
-fn luma_v_scalar(vm: &mut Vm, args: &McArgs) {
-    let (w, h) = (args.w, args.h);
-    let src0 = vm.li((args.src as i64) - 2 * args.src_stride);
-    let dst0 = vm.li(args.dst as i64);
-    let st = args.src_stride;
-    let mut srow = src0;
-    let mut drow = dst0;
-    let lp = vm.label();
-    for y in 0..h {
-        for x in 0..w {
-            let x = x as i64;
-            let e = vm.lbz(srow, x);
-            let f = vm.lbz(srow, x + st);
-            let g = vm.lbz(srow, x + 2 * st);
-            let hh = vm.lbz(srow, x + 3 * st);
-            let i = vm.lbz(srow, x + 4 * st);
-            let j = vm.lbz(srow, x + 5 * st);
-            let raw = filter6_scalar(vm, e, f, g, hh, i, j);
-            let rounded = vm.addi(raw, 16);
-            let shifted = vm.srawi(rounded, 5);
-            let clipped = scalar_clip8(vm, shifted);
-            vm.stb(clipped, drow, x);
-        }
-        srow = vm.addi(srow, st);
-        drow = vm.addi(drow, args.dst_stride);
-        let c = vm.cmpwi(drow, 0);
-        vm.bc(c, y + 1 != h, lp);
-    }
-}
-
-fn luma_v_vector(vm: &mut Vm, variant: Variant, args: &McArgs) {
-    let ctx = vec_ctx(vm);
-    let (w, h) = (args.w, args.h);
-    let wide = w == 16;
-    let v16 = const_u16(vm, 16);
-    let v5s = vm.vspltish(5);
-
-    let src0 = vm.li((args.src as i64) - 2 * args.src_stride);
-    let row_mask = (variant == Variant::Altivec).then(|| realign_mask(vm, ctx.i0, src0));
-    let store_mask = (w < 16).then(|| store_masks(vm, w as u8));
-    let dst0 = vm.li(args.dst as i64);
-    let dst_rot = (variant == Variant::Altivec && w < 16).then(|| vm.lvsr(ctx.i0, dst0));
-
-    // Sliding window of six byte rows.
-    let mut srow = src0;
-    let mut win: Vec<Vector> = Vec::with_capacity(6);
-    for _ in 0..5 {
-        win.push(vload_unaligned(
-            vm, variant, ctx.i0, ctx.i15, srow, row_mask,
-        ));
-        srow = vm.addi(srow, args.src_stride);
-    }
-
-    // 6-tap down the window on one zero-extended half.
-    let vfilter_bytes = |vm: &mut Vm, ctx: &VecCtx, win: &[Vector], high: bool| {
-        let ext = |vm: &mut Vm, v: Vector| {
-            if high {
-                vm.vmrghb(ctx.vzero, v)
-            } else {
-                vm.vmrglb(ctx.vzero, v)
-            }
-        };
-        let r0 = ext(vm, win[0]);
-        let r1 = ext(vm, win[1]);
-        let r2 = ext(vm, win[2]);
-        let r3 = ext(vm, win[3]);
-        let r4 = ext(vm, win[4]);
-        let r5 = ext(vm, win[5]);
-        let s20 = vm.vadduhm(r2, r3);
-        let s5 = vm.vadduhm(r1, r4);
-        let s1 = vm.vadduhm(r0, r5);
-        let t = vm.vmladduhm(s20, ctx.v20, s1);
-        let q = vm.vmladduhm(s5, ctx.v5, ctx.vzero);
-        vm.vsubuhm(t, q)
-    };
-
-    let mut drow = dst0;
-    let lp = vm.label();
-    for y in 0..h {
-        win.push(vload_unaligned(
-            vm, variant, ctx.i0, ctx.i15, srow, row_mask,
-        ));
-        srow = vm.addi(srow, args.src_stride);
-
-        let finish = |vm: &mut Vm, raw: Vector| {
-            let r = vm.vadduhm(raw, v16);
-            vm.vsrah(r, v5s)
-        };
-        let raw_hi = vfilter_bytes(vm, &ctx, &win, true);
-        let r_hi = finish(vm, raw_hi);
-        let packed = if wide {
-            let raw_lo = vfilter_bytes(vm, &ctx, &win, false);
-            let r_lo = finish(vm, raw_lo);
-            vm.vpkshus(r_hi, r_lo)
-        } else {
-            vm.vpkshus(r_hi, r_hi)
-        };
-        if wide {
-            vm.stvx(packed, ctx.i0, drow);
-        } else {
-            vstore_partial(
-                vm,
-                variant,
-                packed,
-                store_mask.as_ref().expect("mask built for narrow blocks"),
-                ctx.i0,
-                drow,
-                w as u8,
-                dst_rot,
-            );
-        }
-        win.remove(0);
-        drow = vm.addi(drow, args.dst_stride);
-        let c = vm.cmpwi(drow, 0);
-        vm.bc(c, y + 1 != h, lp);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scalar implementation
 // ---------------------------------------------------------------------
@@ -666,111 +416,6 @@ mod tests {
         }
         let golden = luma_qpel(&plane, sx, sy, 2, 2, w, h);
         (got, golden)
-    }
-
-    fn run_h_case(
-        variant: Variant,
-        w: usize,
-        h: usize,
-        sx: isize,
-        sy: isize,
-    ) -> (Vec<u8>, Vec<u8>) {
-        let plane = textured_plane();
-        let mut vm = Vm::new();
-        let src00 = load_plane(&mut vm, &plane);
-        let stride = plane.stride() as i64;
-        let dst = vm.mem_mut().alloc(64 * 32, 16);
-        let dst = if w < 16 { dst + w as u64 } else { dst };
-        let scratch = vm.mem_mut().alloc((h + 5) * 32, 16);
-        let args = McArgs {
-            src: (src00 as i64 + sy as i64 * stride + sx as i64) as u64,
-            src_stride: stride,
-            dst,
-            dst_stride: 32,
-            scratch,
-            w,
-            h,
-        };
-        luma_h(&mut vm, variant, &args);
-        let mut got = Vec::new();
-        for y in 0..h {
-            got.extend_from_slice(vm.mem().read_bytes(dst + y as u64 * 32, w));
-        }
-        let golden = luma_qpel(&plane, sx, sy, 2, 0, w, h);
-        (got, golden)
-    }
-
-    #[test]
-    fn vertical_halfpel_matches_golden() {
-        for variant in Variant::ALL {
-            for (w, h) in [(16, 16), (8, 8), (4, 4)] {
-                for sx in [16isize, 21, 27] {
-                    let plane = textured_plane();
-                    let mut vm = Vm::new();
-                    let src00 = load_plane(&mut vm, &plane);
-                    let stride = plane.stride() as i64;
-                    let dst = vm.mem_mut().alloc(64 * 32, 16);
-                    let dst = if w < 16 { dst + w as u64 } else { dst };
-                    let scratch = vm.mem_mut().alloc((h + 5) * 32, 16);
-                    let args = McArgs {
-                        src: (src00 as i64 + 11 * stride + sx as i64) as u64,
-                        src_stride: stride,
-                        dst,
-                        dst_stride: 32,
-                        scratch,
-                        w,
-                        h,
-                    };
-                    luma_v(&mut vm, *variant, &args);
-                    let mut got = Vec::new();
-                    for y in 0..h {
-                        got.extend_from_slice(vm.mem().read_bytes(dst + y as u64 * 32, w));
-                    }
-                    let want = luma_qpel(&plane, sx, 11, 0, 2, w, h);
-                    assert_eq!(got, want, "{variant} {w}x{h} sx={sx}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn horizontal_halfpel_matches_golden() {
-        for variant in Variant::ALL {
-            for (w, h) in [(16, 16), (8, 8), (4, 4)] {
-                for sx in [16isize, 19, 23, 30] {
-                    let (got, want) = run_h_case(*variant, w, h, sx, 9);
-                    assert_eq!(got, want, "{variant} {w}x{h} sx={sx}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn horizontal_kernel_is_cheaper_than_hv() {
-        // One-pass kernel emits well under half the instructions of the
-        // two-pass centre kernel.
-        let plane = textured_plane();
-        let mut vm = Vm::new();
-        let src00 = load_plane(&mut vm, &plane);
-        let stride = plane.stride() as i64;
-        let dst = vm.mem_mut().alloc(64 * 32, 16);
-        let scratch = vm.mem_mut().alloc(32 * 21, 16);
-        let args = McArgs {
-            src: (src00 as i64 + 5 * stride + 7) as u64,
-            src_stride: stride,
-            dst,
-            dst_stride: 32,
-            scratch,
-            w: 16,
-            h: 16,
-        };
-        vm.clear_trace();
-        luma_h(&mut vm, Variant::Unaligned, &args);
-        let h_count = vm.instr_count();
-        vm.clear_trace();
-        luma_hv(&mut vm, Variant::Unaligned, &args);
-        let hv_count = vm.instr_count();
-        assert!(2 * h_count < hv_count, "h {h_count} vs hv {hv_count}");
     }
 
     #[test]

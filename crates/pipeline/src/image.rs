@@ -9,7 +9,11 @@
 //! {machine config × realignment latency} and its memory behaviour is the
 //! wall-clock of the whole evaluation.
 //!
-//! [`ReplayImage::build`] compiles a trace once into dense side arrays:
+//! [`ImageBuilder`] compiles records once, one at a time in trace order,
+//! into dense side arrays; [`ReplayImage::build`] is that builder run over
+//! a whole recorded trace, and `valign-core` runs it over the records the
+//! VM emits, as it emits them, so a store build never holds the
+//! record-form trace at all. The arrays:
 //!
 //! * per-record **opcode**, **static site** (`u16`) and **flag byte**
 //!   (touches memory / store / branch / has destination / destination
@@ -42,7 +46,14 @@
 //! machine configuration and worker thread. `valign-core`'s `TraceStore`
 //! caches the image alongside its `Arc<Trace>`.
 //!
-//! Invariants (established by `build`, relied on by the engine):
+//! The builder's per-record arrays and presence masks grow as records
+//! arrive (the masks by one word per 64 records); [`ImageBuilder::finish`]
+//! adds the dependence-offset sentinel and trims them to their exact
+//! length, so an image built record by record is identical — contents,
+//! [`ReplayImage::checksum`] and [`ReplayImage::approx_bytes`] — to one
+//! built from the whole trace.
+//!
+//! Invariants (established by the builder, relied on by the engine):
 //!
 //! * array lengths: `ops`, `flags`, `sids`, `src_defs` all equal
 //!   [`ReplayImage::len`]; `mem_addrs`/`mem_bytes` have one entry per set
@@ -292,7 +303,8 @@ fn rank(words: &[u64], i: usize) -> usize {
 
 /// The packed, one-time-compiled replay form of a [`Trace`].
 ///
-/// Built by [`ReplayImage::build`], immutable afterwards; see the
+/// Built by an [`ImageBuilder`] (over a whole trace: [`ReplayImage::build`]),
+/// immutable afterwards; see the
 /// [module documentation](self) for layout and invariants.
 #[derive(Debug, Clone)]
 pub struct ReplayImage {
@@ -325,88 +337,158 @@ pub struct ReplayImage {
     mem_deps: Vec<u32>,
 }
 
+/// Compiles records into a [`ReplayImage`] one at a time, in trace order:
+/// the one compile path, behind both [`ReplayImage::build`] and tracing
+/// straight into an image (`valign-core`'s `Workload::trace_image`), so a
+/// record never has to be kept once it has been pushed.
+///
+/// `push` takes records exactly as a [`Trace`] holds them — producer
+/// indices count from the first pushed record — and [`ImageBuilder::finish`]
+/// seals the image: it adds the dependence-offset sentinel and trims the
+/// per-record arrays and presence masks to their exact length, so the
+/// image is identical, down to [`ReplayImage::approx_bytes`], to one built
+/// from the whole trace.
+#[derive(Debug)]
+pub struct ImageBuilder {
+    img: ReplayImage,
+    /// Branch records pushed so far (the next branch ordinal).
+    branches: usize,
+    /// Trailing window of the last [`STORE_QUEUE_TRACK`] stores — the
+    /// build-time mirror of the LSU's store queue: (addr, bytes, ordinal).
+    recent_stores: VecDeque<(u64, u64, u32)>,
+    /// Stores pushed so far (the next store ordinal).
+    stores_seen: u32,
+}
+
+impl Default for ImageBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ImageBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty builder with room for `records` records in the
+    /// per-record arrays.
+    fn with_capacity(records: usize) -> Self {
+        let mask_words = records.div_ceil(64);
+        ImageBuilder {
+            img: ReplayImage {
+                len: 0,
+                ops: Vec::with_capacity(records),
+                flags: Vec::with_capacity(records),
+                sids: Vec::with_capacity(records),
+                src_defs: Vec::with_capacity(records),
+                mem_mask: Vec::with_capacity(mask_words),
+                branch_mask: Vec::with_capacity(mask_words),
+                mem_addrs: Vec::new(),
+                mem_bytes: Vec::new(),
+                branch_taken: Vec::new(),
+                branch_uncond: Vec::new(),
+                mem_dep_offsets: Vec::new(),
+                mem_deps: Vec::new(),
+            },
+            branches: 0,
+            recent_stores: VecDeque::with_capacity(STORE_QUEUE_TRACK),
+            stores_seen: 0,
+        }
+    }
+
+    /// Compiles the next record of the trace.
+    pub fn push(&mut self, instr: &DynInstr) {
+        let img = &mut self.img;
+        let idx = img.len;
+        if idx.is_multiple_of(64) {
+            img.mem_mask.push(0);
+            img.branch_mask.push(0);
+        }
+        let mut f = 0u8;
+        if let Some(mem) = instr.mem {
+            f |= flags::MEM;
+            img.mem_dep_offsets.push(img.mem_deps.len() as u32);
+            if mem.kind == MemKind::Store {
+                f |= flags::STORE;
+                if self.recent_stores.len() == STORE_QUEUE_TRACK {
+                    self.recent_stores.pop_front();
+                }
+                self.recent_stores
+                    .push_back((mem.addr, u64::from(mem.bytes), self.stores_seen));
+                self.stores_seen += 1;
+            } else {
+                for &(addr, bytes, ordinal) in &self.recent_stores {
+                    if ranges_overlap(addr, bytes, mem.addr, u64::from(mem.bytes)) {
+                        img.mem_deps.push(ordinal);
+                    }
+                }
+            }
+            if instr.is_unaligned_vector_access() {
+                f |= flags::UNALIGNED;
+            }
+            set_bit(&mut img.mem_mask, idx);
+            img.mem_addrs.push(mem.addr);
+            img.mem_bytes.push(mem.bytes);
+        }
+        if let Some(br) = instr.branch {
+            f |= flags::BRANCH;
+            set_bit(&mut img.branch_mask, idx);
+            if img.branch_taken.len() * 64 <= self.branches {
+                img.branch_taken.push(0);
+                img.branch_uncond.push(0);
+            }
+            if br.taken {
+                set_bit(&mut img.branch_taken, self.branches);
+            }
+            if br.unconditional {
+                set_bit(&mut img.branch_uncond, self.branches);
+            }
+            self.branches += 1;
+        }
+        match instr.dst {
+            Some(valign_isa::Reg::Gpr(_)) => f |= flags::HAS_DST,
+            Some(valign_isa::Reg::Vpr(_)) => f |= flags::HAS_DST | flags::DST_VPR,
+            None => {}
+        }
+        img.ops.push(instr.op);
+        img.flags.push(f);
+        img.sids.push(instr.sid);
+        img.src_defs.push(src_defs_of(instr, idx));
+        img.len += 1;
+    }
+
+    /// Seals the image: pushes the dependence-offset sentinel and trims
+    /// the per-record arrays and the presence masks (at least one word
+    /// each, even when empty) to their exact length.
+    pub fn finish(self) -> ReplayImage {
+        let mut img = self.img;
+        img.mem_dep_offsets.push(img.mem_deps.len() as u32);
+        if img.len == 0 {
+            img.mem_mask.push(0);
+            img.branch_mask.push(0);
+        }
+        img.ops.shrink_to_fit();
+        img.flags.shrink_to_fit();
+        img.sids.shrink_to_fit();
+        img.src_defs.shrink_to_fit();
+        img.mem_mask.shrink_to_fit();
+        img.branch_mask.shrink_to_fit();
+        img
+    }
+}
+
 impl ReplayImage {
     /// Compiles `trace` into its packed replay form. One forward pass;
     /// call once per trace and share the result (`Arc`) across
     /// configurations and threads.
     pub fn build(trace: &Trace) -> ReplayImage {
-        let n = trace.len();
-        let mask_words = n.div_ceil(64).max(1);
-        let mut img = ReplayImage {
-            len: n,
-            ops: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            sids: Vec::with_capacity(n),
-            src_defs: Vec::with_capacity(n),
-            mem_mask: vec![0; mask_words],
-            branch_mask: vec![0; mask_words],
-            mem_addrs: Vec::new(),
-            mem_bytes: Vec::new(),
-            branch_taken: Vec::new(),
-            branch_uncond: Vec::new(),
-            mem_dep_offsets: Vec::new(),
-            mem_deps: Vec::new(),
-        };
-        let mut branches = 0usize;
-        // Trailing window of the last STORE_QUEUE_TRACK stores — the
-        // build-time mirror of the LSU's store queue: (addr, bytes,
-        // ordinal).
-        let mut recent_stores: VecDeque<(u64, u64, u32)> =
-            VecDeque::with_capacity(STORE_QUEUE_TRACK);
-        let mut stores_seen = 0u32;
-        for (idx, instr) in trace.iter().enumerate() {
-            let mut f = 0u8;
-            if let Some(mem) = instr.mem {
-                f |= flags::MEM;
-                img.mem_dep_offsets.push(img.mem_deps.len() as u32);
-                if mem.kind == MemKind::Store {
-                    f |= flags::STORE;
-                    if recent_stores.len() == STORE_QUEUE_TRACK {
-                        recent_stores.pop_front();
-                    }
-                    recent_stores.push_back((mem.addr, u64::from(mem.bytes), stores_seen));
-                    stores_seen += 1;
-                } else {
-                    for &(addr, bytes, ordinal) in &recent_stores {
-                        if ranges_overlap(addr, bytes, mem.addr, u64::from(mem.bytes)) {
-                            img.mem_deps.push(ordinal);
-                        }
-                    }
-                }
-                if instr.is_unaligned_vector_access() {
-                    f |= flags::UNALIGNED;
-                }
-                set_bit(&mut img.mem_mask, idx);
-                img.mem_addrs.push(mem.addr);
-                img.mem_bytes.push(mem.bytes);
-            }
-            if let Some(br) = instr.branch {
-                f |= flags::BRANCH;
-                set_bit(&mut img.branch_mask, idx);
-                if img.branch_taken.len() * 64 <= branches {
-                    img.branch_taken.push(0);
-                    img.branch_uncond.push(0);
-                }
-                if br.taken {
-                    set_bit(&mut img.branch_taken, branches);
-                }
-                if br.unconditional {
-                    set_bit(&mut img.branch_uncond, branches);
-                }
-                branches += 1;
-            }
-            match instr.dst {
-                Some(valign_isa::Reg::Gpr(_)) => f |= flags::HAS_DST,
-                Some(valign_isa::Reg::Vpr(_)) => f |= flags::HAS_DST | flags::DST_VPR,
-                None => {}
-            }
-            img.ops.push(instr.op);
-            img.flags.push(f);
-            img.sids.push(instr.sid);
-            img.src_defs.push(src_defs_of(instr, idx));
+        let mut builder = ImageBuilder::with_capacity(trace.len());
+        for instr in trace {
+            builder.push(instr);
         }
-        img.mem_dep_offsets.push(img.mem_deps.len() as u32);
-        img
+        builder.finish()
     }
 
     /// Number of records.

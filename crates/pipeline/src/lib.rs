@@ -12,7 +12,8 @@
 //! * the `valign-cache` memory hierarchy, including the realignment
 //!   network latency for the paper's unaligned `lvxu`/`stvxu` accesses;
 //! * a packed structure-of-arrays [`ReplayImage`] (see [`image`]) that a
-//!   trace is compiled into once and replayed from many times — the
+//!   trace is compiled into once, record by record through an
+//!   [`ImageBuilder`], and replayed from many times — the
 //!   generate-once / replay-many hot path of the whole evaluation
 //!   ([`Simulator::simulate_image`]). One replay walk serves both the
 //!   image and the record-form trace ([`Simulator::simulate_reference`]),
@@ -81,7 +82,7 @@ pub use config::{IssuePolicy, PipelineConfig};
 pub use costmodel::CostBounds;
 pub use engine::{Machine, RunGuards, Simulator, StallInjection, WarmState};
 pub use hash::WordHash;
-pub use image::{AuditSabotage, ReplayImage, Sabotage, VerifiedImage};
+pub use image::{AuditSabotage, ImageBuilder, ReplayImage, Sabotage, VerifiedImage};
 pub use latency::{Latency, LatencyTable};
 pub use lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 pub use predictor::{BranchPredictor, PredictorStats};

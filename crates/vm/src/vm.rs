@@ -19,6 +19,18 @@
 //! architectural-register pressure is modelled separately by the
 //! simulator's rename windows.
 //!
+//! ## Trace segments and draining
+//!
+//! A trace starts at [`Vm::take_trace`] or [`Vm::clear_trace`]; the VM
+//! remembers where (its `origin`, the global index of the trace's record
+//! 0) and counts every producer index from there, so a handle from before
+//! the trace started becomes an external source. [`Vm::drain_records`]
+//! hands the buffered records out and empties the buffer without starting
+//! a new trace: producer indices keep counting from the same origin, and
+//! the drained chunks concatenate to exactly the trace `take_trace` would
+//! have returned. A consumer that compiles records as they arrive (the
+//! replay-image builder) therefore never holds more than one chunk.
+//!
 //! ## Static instruction sites
 //!
 //! Every intrinsic is `#[track_caller]`: the Rust source location of the
@@ -168,6 +180,11 @@ pub struct Vm {
     /// Total instructions ever emitted (not reset by trace draining);
     /// handle `def`s are indices in this global stream.
     emitted: u64,
+    /// `emitted` as of the last [`Vm::take_trace`] / [`Vm::clear_trace`]:
+    /// the global index of the current trace's record 0. Producer indices
+    /// in emitted records count from here, also after
+    /// [`Vm::drain_records`] has handed some records out.
+    origin: u64,
 }
 
 impl Default for Vm {
@@ -228,6 +245,7 @@ impl Vm {
             next_gpr: 0,
             next_vpr: 0,
             emitted: 0,
+            origin: 0,
         }
     }
 
@@ -241,15 +259,18 @@ impl Vm {
         &mut self.mem
     }
 
-    /// The trace recorded so far.
+    /// The records buffered so far: the trace recorded since the last
+    /// [`Vm::take_trace`] / [`Vm::clear_trace`], minus any records
+    /// [`Vm::drain_records`] has handed out.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Takes the recorded trace, leaving an empty one. Handles created
-    /// before the drain remain usable; their producers simply become
-    /// external to the next trace segment.
+    /// Takes the recorded trace, leaving an empty one, and starts a new
+    /// trace. Handles created before remain usable; their producers
+    /// simply become external to the new trace.
     pub fn take_trace(&mut self) -> Trace {
+        self.origin = self.emitted;
         std::mem::take(&mut self.trace)
     }
 
@@ -259,12 +280,29 @@ impl Vm {
         self.take_trace().into_shared()
     }
 
-    /// Clears the recorded trace (memory image is kept).
+    /// Clears the recorded trace (memory image is kept) and starts a new
+    /// one; as with [`Vm::take_trace`], earlier handles become external.
     pub fn clear_trace(&mut self) {
+        self.origin = self.emitted;
         self.trace.clear();
     }
 
-    /// Number of dynamic instructions recorded so far.
+    /// Hands the buffered records to `sink` in program order and empties
+    /// the buffer, without ending the trace: records emitted afterwards
+    /// continue it, their producer indices still counting from its first
+    /// record. Concatenating every drain and the final
+    /// [`Vm::take_trace`] gives exactly the trace `take_trace` alone would
+    /// have returned, so a consumer can compile records as they are
+    /// emitted and never hold the whole trace.
+    pub fn drain_records(&mut self, mut sink: impl FnMut(&DynInstr)) {
+        for instr in &self.trace {
+            sink(instr);
+        }
+        self.trace.clear();
+    }
+
+    /// Number of dynamic instructions buffered: recorded since the last
+    /// [`Vm::take_trace`], [`Vm::clear_trace`] or [`Vm::drain_records`].
     pub fn instr_count(&self) -> usize {
         self.trace.len()
     }
@@ -300,9 +338,11 @@ impl Vm {
     /// Converts a handle's global producer index to a trace-local
     /// [`SrcRef`].
     fn make_sref(&self, reg: valign_isa::Reg, def: u64) -> SrcRef {
-        let base = self.emitted - self.trace.len() as u64;
-        if def >= base {
-            SrcRef::produced_by(reg, u32::try_from(def - base).expect("trace fits u32"))
+        if def >= self.origin {
+            SrcRef::produced_by(
+                reg,
+                u32::try_from(def - self.origin).expect("trace fits u32"),
+            )
         } else {
             SrcRef::external(reg)
         }
@@ -1349,6 +1389,89 @@ mod tests {
         let _ = vm.li(2);
         vm.clear_trace();
         assert_eq!(vm.instr_count(), 0);
+    }
+
+    /// One chunk of a program whose values flow into the next chunk: a
+    /// dependent add chain, a load/store pair and a loop-closing branch.
+    fn chunk(vm: &mut Vm, x: Scalar, base: Scalar) -> Scalar {
+        let lp = vm.label();
+        let y = vm.addi(x, 16);
+        let sum = vm.add(x, y);
+        let v = vm.lvx(y, base);
+        vm.stvx(v, x, base);
+        let c = vm.cmpwi(sum, 0);
+        vm.bc(c, true, lp);
+        y
+    }
+
+    fn chunked_program(vm: &mut Vm, mut between: impl FnMut(&mut Vm)) {
+        let buf = vm.mem_mut().alloc(256, 16);
+        vm.clear_trace();
+        let base = vm.li(buf as i64);
+        let mut x = vm.li(0);
+        for _ in 0..5 {
+            x = chunk(vm, x, base);
+            between(vm);
+        }
+        let _ = vm.add(x, base);
+    }
+
+    #[test]
+    fn drained_chunks_concatenate_to_the_taken_trace() {
+        let mut whole = Vm::new();
+        chunked_program(&mut whole, |_| {});
+        let want = whole.take_trace();
+
+        let mut vm = Vm::new();
+        let mut got = Vec::new();
+        let mut drains = 0;
+        chunked_program(&mut vm, |vm| {
+            vm.drain_records(|r| got.push(*r));
+            assert_eq!(vm.instr_count(), 0, "a drain empties the buffer");
+            drains += 1;
+        });
+        got.extend(vm.take_trace().iter().copied());
+        assert_eq!(drains, 5);
+        assert_eq!(got, want.instrs());
+        // Producers stay continuous across drains: every chunk after the
+        // first reads `x` and `base` from earlier chunks by their index
+        // in the whole trace, never as an external source.
+        assert!(got
+            .iter()
+            .all(|r| r.srcs.iter().flatten().all(|s| s.def.is_some())));
+        // The closing add reads the last chunk's `addi` (six records
+        // before it) and `base`, record 0.
+        let last = got.len() as u32 - 1;
+        let closing = got.last().map(|r| r.source_defs().collect::<Vec<_>>());
+        assert_eq!(closing, Some(vec![last - 6, 0]));
+    }
+
+    #[test]
+    fn take_and_clear_start_a_new_trace_after_drains() {
+        for take in [true, false] {
+            let mut vm = Vm::new();
+            let a = vm.li(1);
+            vm.drain_records(|_| {});
+            let b = vm.addi(a, 1);
+            vm.drain_records(|_| {});
+            if take {
+                let _ = vm.take_trace();
+            } else {
+                vm.clear_trace();
+            }
+            let _ = vm.add(a, b);
+            let i = vm.trace().instrs()[0];
+            assert_eq!(
+                i.source_defs().count(),
+                0,
+                "take={take}: both producers are external"
+            );
+            assert_eq!(
+                i.sources().count(),
+                2,
+                "take={take}: register names are kept"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use valign::cache::RealignConfig;
 use valign::core::experiments::{fig8, fig9, table3};
 use valign::core::sim::{SimContext, TraceKey, TraceStore};
-use valign::core::workload::{trace_kernel, KernelId};
+use valign::core::store_ops::matrix_keys;
+use valign::core::workload::{image_kernel, trace_kernel, KernelId};
 use valign::kernels::util::Variant;
 use valign::pipeline::{
     Machine, PipelineConfig, ReplayImage, RunGuards, Simulator, VerifiedImage, WarmState,
@@ -116,6 +117,35 @@ fn replay_images_stay_within_sixteen_bytes_per_record() {
         "{bytes} image bytes for {records} records ({:.2} B/record)",
         bytes as f64 / records as f64
     );
+}
+
+/// A store build compiles each record as the VM emits it
+/// ([`image_kernel`]); that image must be the one compiled from the whole
+/// recorded trace, down to its checksum and allocation, on every matrix
+/// key — at the sweep's 200 executions, at the quick 20, and at the
+/// degenerate one and zero — and a memory-only store that builds this
+/// way keeps no record-form trace.
+#[test]
+fn streamed_images_equal_record_built_images() {
+    for (execs, seed) in [(20, 20070426), (200, 0), (1, 7), (0, 7)] {
+        for key in matrix_keys(execs, seed) {
+            let (kernel, variant) = (key.kernel, key.variant);
+            let streamed = image_kernel(kernel, variant, execs, seed);
+            let recorded = ReplayImage::build(&trace_kernel(kernel, variant, execs, seed));
+            assert_eq!(streamed.checksum(), recorded.checksum(), "{key:?}");
+            assert_eq!(streamed.len(), recorded.len(), "{key:?}");
+            assert_eq!(streamed.approx_bytes(), recorded.approx_bytes(), "{key:?}");
+            assert_eq!(streamed.violations(), [], "{key:?}");
+        }
+    }
+
+    let store = TraceStore::new();
+    for key in matrix_keys(20, 20070426) {
+        let _ = store.prepared(key);
+    }
+    let stats = store.stats();
+    assert!(stats.traced_exactly_once(), "{stats:?}");
+    assert_eq!(stats.materialized_traces, 0, "{stats:?}");
 }
 
 /// The 33-key matrix images at `execs` executions.

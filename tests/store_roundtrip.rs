@@ -16,9 +16,9 @@ use valign::cache::RealignConfig;
 use valign::core::sim::{BatchRunner, SimJob, TraceKey, TraceSource, TraceStore};
 use valign::core::store_ops;
 use valign::core::supervise::{JobOutcome, OutcomeTally, SupervisedRunner};
-use valign::core::workload::KernelId;
+use valign::core::workload::{trace_kernel, KernelId};
 use valign::kernels::util::Variant;
-use valign::pipeline::PipelineConfig;
+use valign::pipeline::{PipelineConfig, ReplayImage};
 use valign::store::{sabotage_file_bytes, StoreDir};
 
 const EXECS: usize = 2;
@@ -175,5 +175,36 @@ fn stale_format_version_is_quarantined_and_rebuilt() {
     assert!(root.join("quarantine").join(&name).exists());
     assert!(store_ops::verify_image(&root).expect("verify").all_ok());
 
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A store build compiles each record as it is traced and never holds the
+/// trace. The `.vimg` files it writes must be byte-identical to files
+/// saved from images compiled off the recorded trace, on every key of
+/// the 33-key matrix at 20 executions.
+#[test]
+fn streamed_store_files_equal_record_built_files() {
+    let execs = 20;
+    let root = scratch("streamed");
+    let report = store_ops::pack(root.join("packed"), execs, SEED, 2).expect("pack");
+    assert_eq!(
+        report.packed_now(),
+        KernelId::ALL.len() * Variant::ALL.len()
+    );
+    let recorded = StoreDir::create(root.join("recorded")).expect("create store");
+    for entry in &report.entries {
+        let key = entry.key;
+        let image = ReplayImage::build(&trace_kernel(key.kernel, key.variant, execs, SEED));
+        recorded
+            .save(entry.hash, &image, image.checksum())
+            .expect("save record-built image");
+        let name = StoreDir::file_name(entry.hash);
+        let packed = std::fs::read(root.join("packed").join(&name)).expect("read packed");
+        let want = std::fs::read(recorded.path_for(entry.hash)).expect("read recorded");
+        assert!(
+            packed == want,
+            "{name} ({key:?}) differs from the record-built file"
+        );
+    }
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
