@@ -7,10 +7,10 @@
 //!   the real loader (the full integrity ladder), its content checksum
 //!   re-derived from the decoded arrays, the two static `image-*` rules
 //!   run ([`crate::analyze_image`]), and — when the image is clean — the
-//!   zero-simulation cost-model bounds of [`crate::costmodel`] computed
-//!   for every Table II configuration. **No trace is recorded and no
-//!   cycle is simulated**; the verdict is reached from the bytes on disk
-//!   alone.
+//!   zero-simulation cost-model bounds of [`valign_pipeline::costmodel`]
+//!   computed for every Table II configuration. **No trace is recorded
+//!   and no cycle is simulated**; the verdict is reached from the bytes on
+//!   disk alone.
 //! * [`audit_matrix`] audits the full evaluation matrix (every kernel ×
 //!   variant) through the shared [`SimContext`] store, then runs the
 //!   dynamic `costmodel-soundness` rule on each clean pair: one replay
@@ -216,7 +216,7 @@ fn render_bounds_json(b: &CostBounds) -> String {
     };
     format!(
         r#"{{"config":"{}","records":{},"realign_lo":{},"realign_hi":{},"realign_window":{},"raw_dep_lo":{},"raw_dep_hi":{},"raw_dep_window":{},"issue_width_lo":{},"issue_width_hi":{},"cycles_lo":{}}}"#,
-        b.config,
+        escape_json(b.config),
         b.records,
         b.realign_lo,
         b.realign_hi,

@@ -30,7 +30,7 @@
 //! trace (all Table II configurations), so they run only on traces the
 //! structural rules passed clean; costmodel-soundness compares the
 //! measured attribution against the zero-simulation bounds of
-//! [`costmodel`].
+//! [`valign_pipeline::costmodel`].
 //!
 //! The CLI front ends are `valign lint` and `valign audit` (see the
 //! repository README); the lint gate is **zero ERROR diagnostics across
@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod costmodel;
 pub mod diag;
 pub mod rules;
 

@@ -59,11 +59,6 @@ const COST_KERNELS: [KernelId; 7] = [
     KernelId::Idct8x8,
 ];
 
-/// Measures per-call kernel cycle costs for every variant.
-pub fn measure_kernel_costs(execs: usize, seed: u64) -> Result<Vec<VariantCosts>, ExperimentError> {
-    measure_kernel_costs_with(&SimContext::new(1), execs, seed)
-}
-
 /// Measures per-call kernel cycle costs for every variant as one batch
 /// (variant-major, [`COST_KERNELS`] order) on a shared context.
 pub fn measure_kernel_costs_with(
@@ -149,14 +144,9 @@ pub struct Fig10 {
 
 /// Measures CABAC cycles per bin by tracing the real (scalar, serial)
 /// arithmetic-decoder kernel over an encoded bin stream and replaying it
-/// on the 4-way machine.
-pub fn measure_cabac_cost(bins: usize, seed: u64) -> f64 {
-    measure_cabac_cost_with(&SimContext::new(1), bins, seed)
-}
-
-/// [`measure_cabac_cost`] against a shared context: the custom VM trace
-/// bypasses the store (it is not a keyed kernel workload) but the replay
-/// still runs — and is timed — as a batch job.
+/// on the 4-way machine. The custom VM trace bypasses the context's
+/// store (it is not a keyed kernel workload) but the replay still runs —
+/// and is timed — as a batch job.
 pub fn measure_cabac_cost_with(ctx: &SimContext, bins: usize, seed: u64) -> f64 {
     use valign_h264::cabac::{CabacEncoder, Context};
     use valign_kernels::cabac::{cabac_decode_bins, setup_cabac};
@@ -364,7 +354,7 @@ mod tests {
 
     #[test]
     fn kernel_costs_are_ordered() {
-        let costs = measure_kernel_costs(8, 42).unwrap();
+        let costs = measure_kernel_costs_with(&SimContext::new(1), 8, 42).unwrap();
         assert_eq!(costs.len(), 3);
         // Attribution aggregates conserve against their summed cycles.
         for vc in &costs {

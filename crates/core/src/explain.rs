@@ -11,6 +11,7 @@
 //! job greps.
 
 use crate::experiments::ExperimentError;
+use crate::serve::protocol::escape_json;
 use crate::sim::{SimContext, SimJob, TraceKey};
 use crate::workload::KernelId;
 use std::fmt::Write as _;
@@ -162,7 +163,7 @@ impl Explain {
                     .collect();
                 format!(
                     r#"{{"config":"{}","cycles":{},"instructions":{},"ipc":{:.4},"unaligned_accesses":{},"realign_penalty_cycles":{},"split_accesses":{},"buckets":{{{}}},"attributed":{},"conserved":{}}}"#,
-                    row.config,
+                    escape_json(row.config),
                     r.cycles,
                     r.instructions,
                     r.ipc(),

@@ -10,9 +10,8 @@
 //!
 //! A daemon that dies (or injects `disconnect` / `torn-frame` chaos)
 //! mid-batch must not hang the client or vanish its partial results:
-//! every connection runs under a read deadline (default
-//! [`DEFAULT_DEADLINE`], tunable via [`Client::set_deadline`]), and a
-//! stream that ends mid-batch surfaces as
+//! every connection runs under a read deadline ([`DEFAULT_DEADLINE`]),
+//! and a stream that ends mid-batch surfaces as
 //! [`ServeError::Disconnected`] carrying the scorecards that did arrive
 //! — exactly what a resubmit against the recovered daemon will dedupe.
 
@@ -106,7 +105,6 @@ pub enum SubmitOutcome {
 
 /// One connection to a daemon.
 pub struct Client {
-    stream: TcpStream,
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
 }
@@ -118,17 +116,10 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         setup_stream(&stream, Some(DEFAULT_DEADLINE))?;
         let read_half = stream.try_clone()?;
-        let write_half = stream.try_clone()?;
         Ok(Client {
-            stream,
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(write_half),
+            writer: BufWriter::new(stream),
         })
-    }
-
-    /// Overrides the socket read/write deadline (`None` blocks forever).
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        setup_stream(&self.stream, deadline)
     }
 
     fn send(&mut self, frame: &str) -> Result<(), ServeError> {
@@ -280,6 +271,6 @@ mod tests {
         );
         setup_stream(&daemon_side, None).unwrap();
         assert!(daemon_side.nodelay().unwrap());
-        assert!(client.stream.nodelay().unwrap());
+        assert!(client.writer.get_ref().nodelay().unwrap());
     }
 }

@@ -8,12 +8,9 @@
 //! * [`interp`] — golden quarter-pel luma (6-tap) and eighth-pel chroma
 //!   (bilinear) interpolation, the reference the SIMD kernels are verified
 //!   against;
-//! * [`intra`] — golden 16x16 and 4x4 intra prediction modes;
 //! * [`transform`] — golden 4x4 (factorised and matrix-form) and 8x8
-//!   inverse transforms, plus the forward 4x4 for reconstruction tests;
+//!   inverse transforms, plus the forward 4x4 for round-trip tests;
 //! * [`sad`] — reference SAD and full-search motion estimation;
-//! * [`me`] — fast motion-search strategies (three-step, diamond) whose
-//!   probe patterns generate Fig. 4's unpredictable offsets;
 //! * [`deblock`] — the complete in-loop deblocking filter (scalar stage in
 //!   the paper);
 //! * [`cabac`] — a real context-adaptive binary arithmetic encoder/decoder
@@ -24,10 +21,7 @@
 //!   test sequences at the three evaluated resolutions, with
 //!   alignment-offset statistics (Fig. 4);
 //! * [`decoder`] — the decoder-stage work model used to estimate
-//!   application-level impact (Fig. 10);
-//! * [`recon`] — the full (simplified) encode/reconstruct loop with the
-//!   H.264 4x4 quantisation tables, tying the kernels into a working
-//!   codec path with rate/distortion behaviour.
+//!   application-level impact (Fig. 10).
 //!
 //! ## Example: reproducing a Fig. 4 curve
 //!
@@ -49,11 +43,8 @@ pub mod cabac;
 pub mod deblock;
 pub mod decoder;
 pub mod interp;
-pub mod intra;
 pub mod mb;
-pub mod me;
 pub mod plane;
-pub mod recon;
 pub mod sad;
 pub mod synth;
 pub mod transform;

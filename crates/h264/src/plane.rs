@@ -110,11 +110,6 @@ impl Plane {
         &self.data
     }
 
-    /// Mutable raw backing buffer.
-    pub fn raw_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Fills the visible area via `f(x, y) -> pixel` and replicates edge
     /// pixels into the margins (H.264 frame extension).
     pub fn fill_with(&mut self, mut f: impl FnMut(usize, usize) -> u8) {
