@@ -42,26 +42,34 @@ pub fn run(execs: usize, seed: u64) -> Table3 {
 ///
 /// Pure trace analysis — no replays, so no batch: the rows read their
 /// instruction mixes off the opcode column of the store's shared replay
-/// images, which the figure drivers then replay without re-tracing. No
-/// record-form trace is kept for it.
+/// images, which the figure drivers then replay without re-tracing. The
+/// keys are materialized on the context's workers; no record-form trace
+/// is kept for them.
 pub fn run_with(ctx: &SimContext, execs: usize, seed: u64) -> Table3 {
-    let mut rows = Vec::new();
+    let mut keys = Vec::new();
+    let mut labels = Vec::new();
     for &(kernel, label) in KernelId::TABLE_III {
         for &variant in Variant::ALL {
-            let key = TraceKey {
+            keys.push(TraceKey {
                 kernel,
                 variant,
                 execs,
                 seed,
-            };
-            let mix = ctx.store().prepared(key).image.mix();
-            rows.push(Row {
-                kernel: label.to_string(),
-                variant,
-                mix,
             });
+            labels.push(label);
         }
     }
+    let rows = ctx
+        .store()
+        .prepared_all(&keys, ctx.threads())
+        .into_iter()
+        .zip(keys.iter().zip(labels))
+        .map(|(prepared, (key, label))| Row {
+            kernel: label.to_string(),
+            variant: key.variant,
+            mix: prepared.image.mix(),
+        })
+        .collect();
     Table3 { execs, rows }
 }
 

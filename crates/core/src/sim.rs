@@ -421,6 +421,28 @@ impl TraceStore {
         self.lookup(key, true)
     }
 
+    /// [`TraceStore::prepared`] for every key in `keys`, materialized on
+    /// `threads` workers; `result[i]` is `keys[i]`'s entry. Each key is
+    /// looked up once, so the store counts exactly what a serial loop
+    /// would, and a key two workers race for is still materialized once.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from materializing a key, after the other keys
+    /// have finished.
+    pub fn prepared_all(&self, keys: &[TraceKey], threads: usize) -> Vec<PreparedTrace> {
+        BatchRunner::new(threads)
+            .scatter(keys.len(), (0..keys.len()).collect(), |i| {
+                self.prepared(keys[i])
+            })
+            .into_iter()
+            .zip(keys)
+            .map(|(entry, key)| {
+                entry.unwrap_or_else(|p| panic!("materializing {key:?} panicked: {}", p.message))
+            })
+            .collect()
+    }
+
     fn lookup(&self, key: TraceKey, keep_trace: bool) -> PreparedTrace {
         let cell = {
             let mut map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1416,6 +1438,22 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.misses, 1, "{stats:?}");
         assert_eq!(stats.hits, 7, "{stats:?}");
+    }
+
+    /// `prepared_all` answers in key order, shares one entry between
+    /// repeated keys and counts one lookup per key, as a serial loop
+    /// would.
+    #[test]
+    fn prepared_all_answers_in_key_order_and_looks_each_key_up_once() {
+        let store = TraceStore::new();
+        let keys = [key(3), key(5), key(3)];
+        let entries = store.prepared_all(&keys, 3);
+        assert_eq!(entries.len(), 3);
+        assert!(Arc::ptr_eq(&entries[0].image, &entries[2].image));
+        assert_eq!(entries[1].image.len(), store.prepared(key(5)).image.len());
+        assert!(entries[1].image.len() > entries[0].image.len());
+        let stats = store.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 2), "{stats:?}");
     }
 
     #[test]

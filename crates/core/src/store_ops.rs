@@ -12,7 +12,6 @@ use crate::sim::{ImageProvenance, TraceKey, TraceStore};
 use crate::workload::KernelId;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use valign_kernels::util::Variant;
 use valign_store::{StoreDir, StoreError, VerifyReport};
@@ -113,9 +112,9 @@ impl PackReport {
 /// Packs the standard evaluation matrix into the store at `root`:
 /// materializes every kernel × variant image through a disk-backed
 /// [`TraceStore`] (so already-present verified files are reused, corrupt
-/// ones quarantined and rebuilt) on `threads` workers, then stats every
-/// file
-/// it now guarantees on disk.
+/// ones quarantined and rebuilt) on `threads` workers
+/// ([`TraceStore::prepared_all`]), then stats every file it now
+/// guarantees on disk.
 pub fn pack(
     root: impl Into<PathBuf>,
     execs: usize,
@@ -126,26 +125,13 @@ pub fn pack(
     let store = TraceStore::with_disk(&root)?;
     let keys = matrix_keys(execs, seed);
     let started = Instant::now();
-
-    // Materialize every key in parallel; each is traced/loaded exactly
-    // once (the store's OnceLock cells), workers just drain an index.
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(keys.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(key) = keys.get(i) else { break };
-                let _ = store.prepared(*key);
-            });
-        }
-    });
+    let prepared = store.prepared_all(&keys, threads);
     let wall = started.elapsed();
 
     let dir = store.disk().expect("pack store always has a disk tier");
     let mut entries = Vec::with_capacity(keys.len());
     let mut rebuilt = 0usize;
-    for key in keys {
-        let prepared = store.prepared(key);
+    for (key, prepared) in keys.into_iter().zip(prepared) {
         if matches!(prepared.provenance, ImageProvenance::DiskRebuilt { .. }) {
             rebuilt += 1;
         }

@@ -38,7 +38,16 @@
 //!   range is a pure function of the recorded addresses, so the image
 //!   computes it once at build time (as compact store-ordinal lists) and
 //!   the replay loop replaces the engine's per-load store-queue scan with
-//!   a lookup of the listed stores' completion cycles.
+//!   a lookup of the listed stores' completion cycles. The builder does
+//!   not scan the window either: it indexes it by 16-byte block, keeping
+//!   per block a `u64` bitmask of the window slots (`ordinal % 64`) whose
+//!   store touches it. A load ORs the masks of the blocks it touches (two
+//!   at most, for widths up to 16), rotates the result so the oldest slot
+//!   is bit 0, and keeps the candidates the exact [`ranges_overlap`]
+//!   accepts — the same ordinals, in the same oldest-first order, as
+//!   testing every window store. The index is a fixed table of
+//!   per-bucket masks (blocks 4 KiB apart share a bucket); aliasing only
+//!   adds candidates, which the exact test drops.
 //!
 //! The image carries **no timing** and **no configuration**: latencies
 //! are still resolved through the engine's [`crate::LatencyTable`] and the
@@ -86,7 +95,6 @@
 use crate::hash::WordHash;
 use crate::lsu::{ranges_overlap, STORE_QUEUE_TRACK};
 use crate::result::SimError;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use valign_isa::{DynInstr, MemKind, MixCounts, Opcode, StaticId, Trace};
 
@@ -353,11 +361,38 @@ pub struct ImageBuilder {
     img: ReplayImage,
     /// Branch records pushed so far (the next branch ordinal).
     branches: usize,
-    /// Trailing window of the last [`STORE_QUEUE_TRACK`] stores — the
-    /// build-time mirror of the LSU's store queue: (addr, bytes, ordinal).
-    recent_stores: VecDeque<(u64, u64, u32)>,
+    /// The build-time mirror of the LSU's store queue: the last
+    /// [`STORE_QUEUE_TRACK`] stores' (addr, bytes), in slot
+    /// `ordinal % STORE_QUEUE_TRACK`.
+    window: [(u64, u64); STORE_QUEUE_TRACK],
+    /// The window indexed by 16-byte block: entry `block % BLOCK_BUCKETS`
+    /// is the bitmask of the slots whose store touches a block of that
+    /// bucket — every store touching the block, plus any touching a block
+    /// a multiple of 4 KiB away, which the exact overlap test drops.
+    block_slots: Vec<u64>,
     /// Stores pushed so far (the next store ordinal).
     stores_seen: u32,
+}
+
+// A slot bitmask is one `u64`.
+const _: () = assert!(STORE_QUEUE_TRACK == 64);
+
+/// Buckets of the builder's block index.
+const BLOCK_BUCKETS: usize = 256;
+
+/// The 16-byte blocks `[addr, addr + bytes)` touches (none when empty),
+/// with the range clipped to the address-space top as
+/// [`ranges_overlap`] clips it: two ranges that overlap share a block.
+fn blocks_of(addr: u64, bytes: u64) -> std::ops::Range<u64> {
+    match bytes {
+        0 => 0..0,
+        n => addr >> 4..(addr.saturating_add(n - 1) >> 4) + 1,
+    }
+}
+
+/// The [`ImageBuilder::block_slots`] entry of `block`.
+fn bucket(block: u64) -> usize {
+    block as usize % BLOCK_BUCKETS
 }
 
 impl Default for ImageBuilder {
@@ -393,7 +428,8 @@ impl ImageBuilder {
                 mem_deps: Vec::new(),
             },
             branches: 0,
-            recent_stores: VecDeque::with_capacity(STORE_QUEUE_TRACK),
+            window: [(0, 0); STORE_QUEUE_TRACK],
+            block_slots: vec![0; BLOCK_BUCKETS],
             stores_seen: 0,
         }
     }
@@ -410,17 +446,37 @@ impl ImageBuilder {
         if let Some(mem) = instr.mem {
             f |= flags::MEM;
             img.mem_dep_offsets.push(img.mem_deps.len() as u32);
+            let bytes = u64::from(mem.bytes);
             if mem.kind == MemKind::Store {
                 f |= flags::STORE;
-                if self.recent_stores.len() == STORE_QUEUE_TRACK {
-                    self.recent_stores.pop_front();
+                // The slot's evicted store (none while the window fills:
+                // an empty slot touches no block) leaves the index.
+                let slot = self.stores_seen as usize % STORE_QUEUE_TRACK;
+                let bit = 1u64 << slot;
+                let (old_addr, old_bytes) = self.window[slot];
+                for block in blocks_of(old_addr, old_bytes) {
+                    self.block_slots[bucket(block)] &= !bit;
                 }
-                self.recent_stores
-                    .push_back((mem.addr, u64::from(mem.bytes), self.stores_seen));
+                self.window[slot] = (mem.addr, bytes);
+                for block in blocks_of(mem.addr, bytes) {
+                    self.block_slots[bucket(block)] |= bit;
+                }
                 self.stores_seen += 1;
             } else {
-                for &(addr, bytes, ordinal) in &self.recent_stores {
-                    if ranges_overlap(addr, bytes, mem.addr, u64::from(mem.bytes)) {
+                let mut slots = 0u64;
+                for block in blocks_of(mem.addr, bytes) {
+                    slots |= self.block_slots[bucket(block)];
+                }
+                // Bit `b` of the rotated mask is ordinal
+                // `stores_seen - 64 + b`: lowest bit first is oldest first,
+                // the store-queue scan's order.
+                let mut oldest_first = slots.rotate_right(self.stores_seen % 64);
+                while oldest_first != 0 {
+                    let b = oldest_first.trailing_zeros();
+                    oldest_first &= oldest_first - 1;
+                    let ordinal = self.stores_seen + b - 64;
+                    let (addr, len) = self.window[ordinal as usize % STORE_QUEUE_TRACK];
+                    if ranges_overlap(addr, len, mem.addr, bytes) {
                         img.mem_deps.push(ordinal);
                     }
                 }
@@ -1220,6 +1276,7 @@ pub(crate) fn src_defs_of(instr: &DynInstr, idx: usize) -> [u16; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use valign_isa::{BranchInfo, Gpr, MemRef, SrcRef, Vpr};
 
     fn sid(n: u16) -> StaticId {

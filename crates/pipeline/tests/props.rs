@@ -4,10 +4,12 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use valign_cache::RealignConfig;
-use valign_isa::Trace;
+use valign_isa::{DynInstr, MemKind, MemRef, Opcode, StaticId, Trace};
 use valign_pipeline::{
     ranges_overlap, IssuePolicy, PipelineConfig, ReplayImage, RunGuards, Simulator,
+    STORE_QUEUE_TRACK,
 };
 use valign_vm::{Scalar, Vm};
 
@@ -61,6 +63,53 @@ fn random_trace(seed: u64, len: usize) -> Trace {
         }
     }
     vm.take_trace()
+}
+
+/// A trace of the given memory accesses and nothing else.
+fn access_trace(accesses: &[MemRef]) -> Trace {
+    let mut t = Trace::new();
+    for (i, &mem) in accesses.iter().enumerate() {
+        let op = match (mem.kind, mem.bytes) {
+            (MemKind::Load, 1) => Opcode::Lbz,
+            (MemKind::Load, 2) => Opcode::Lhz,
+            (MemKind::Load, 4) => Opcode::Lwz,
+            (MemKind::Load, _) => Opcode::Lvxu,
+            (MemKind::Store, 1) => Opcode::Stb,
+            (MemKind::Store, 2) => Opcode::Sth,
+            (MemKind::Store, 4) => Opcode::Stw,
+            (MemKind::Store, _) => Opcode::Stvxu,
+        };
+        t.push(DynInstr::mem(op, StaticId(i as u16), None, &[], mem));
+    }
+    t
+}
+
+/// The reference dependence lists: each load tested against every one of
+/// the last [`STORE_QUEUE_TRACK`] stores, oldest first, as the LSU's
+/// store queue does. One list per access (stores' empty).
+fn linear_scan_deps(accesses: &[MemRef]) -> Vec<Vec<u32>> {
+    let mut recent: VecDeque<(u64, u64, u32)> = VecDeque::new();
+    let mut stores = 0u32;
+    let mut lists = Vec::new();
+    for mem in accesses {
+        let bytes = u64::from(mem.bytes);
+        let mut deps = Vec::new();
+        if mem.kind == MemKind::Store {
+            if recent.len() == STORE_QUEUE_TRACK {
+                recent.pop_front();
+            }
+            recent.push_back((mem.addr, bytes, stores));
+            stores += 1;
+        } else {
+            for &(addr, len, ordinal) in &recent {
+                if ranges_overlap(addr, len, mem.addr, bytes) {
+                    deps.push(ordinal);
+                }
+            }
+        }
+        lists.push(deps);
+    }
+    lists
 }
 
 fn cold_cycles(cfg: PipelineConfig, t: &Trace) -> u64 {
@@ -231,5 +280,46 @@ proptest! {
             && alen > 0 && blen > 0;
         prop_assert_eq!(ranges_overlap(a, alen, b, blen), expected);
         prop_assert_eq!(ranges_overlap(b, blen, a, alen), expected, "symmetry");
+    }
+}
+
+proptest! {
+    /// The builder's block index finds exactly the dependences the old
+    /// linear store-queue scan found, in the same order. Streams mix
+    /// widths 1/2/4/16 over three 81-byte regions — low addresses, the
+    /// same blocks 64 KiB up (which share the index's buckets) and the
+    /// address-space top — so accesses straddle 16-byte blocks and the
+    /// top, addresses repeat, buckets alias and the 64-store window
+    /// evicts.
+    #[test]
+    fn block_index_deps_equal_the_linear_scan(
+        stream in proptest::collection::vec(
+            (
+                0u8..5,
+                0usize..4,
+                prop_oneof![0u64..=80, 65_536u64..=65_616, u64::MAX - 80..=u64::MAX],
+            ),
+            200..400,
+        ),
+    ) {
+        let accesses: Vec<MemRef> = stream
+            .iter()
+            .map(|&(kind, width, addr)| MemRef {
+                addr,
+                bytes: [1, 2, 4, 16][width],
+                kind: if kind < 3 { MemKind::Store } else { MemKind::Load },
+            })
+            .collect();
+        let stores = accesses.iter().filter(|m| m.kind == MemKind::Store).count();
+        prop_assert!(stores > STORE_QUEUE_TRACK, "{} stores", stores);
+        prop_assert!(accesses.iter().any(|m| m.addr % 16 + u64::from(m.bytes) > 16));
+
+        let img = ReplayImage::build(&access_trace(&accesses));
+        let built: Vec<Vec<u32>> = (0..img.memory_records())
+            .map(|c| img.mem_deps_at(c).to_vec())
+            .collect();
+        let expected = linear_scan_deps(&accesses);
+        prop_assert!(expected.iter().any(|d| d.len() > 1), "some load has several producers");
+        prop_assert_eq!(built, expected);
     }
 }

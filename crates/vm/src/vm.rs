@@ -38,6 +38,15 @@
 //! instruction's PC. Loop bodies therefore replay the *same* static sites
 //! each iteration — which is what the branch predictor needs.
 //!
+//! A location's identity is its content (file, line, column), and ids
+//! are numbered in first-seen order. Hashing the file string on every
+//! emitted record was most of a record's tracing cost, so the lookup
+//! goes through two maps: a cache keyed by the address of the
+//! `&'static Location` (one word to hash), and behind it the
+//! content-keyed map, consulted only on a cache miss. The content map
+//! alone issues ids, so a location whose static is duplicated across
+//! codegen units (two addresses, one content) still gets one id.
+//!
 //! ## Alignment semantics
 //!
 //! * `lvx`/`stvx` truncate the effective address to 16 bytes (Altivec).
@@ -117,12 +126,10 @@ impl Label {
 
 type Loc = (&'static str, u32, u32);
 
-/// An Fx-style hasher (rotate, xor, multiply per word) for the site map.
-/// [`Vm`] hashes a [`Loc`] on every dynamic instruction, where SipHash
+/// An Fx-style hasher (rotate, xor, multiply per word) for the site maps.
+/// [`Vm`] resolves a site on every dynamic instruction, where SipHash
 /// was a measurable share of tracing. It is not DoS-resistant, which keys
-/// that are source locations do not need. The key stays the file's
-/// content, not its pointer: one location may see several copies of its
-/// file string across codegen units, and must still get one [`StaticId`].
+/// that are source locations do not need.
 #[derive(Debug, Default)]
 struct SiteHasher(u64);
 
@@ -173,7 +180,10 @@ impl Hasher for SiteHasher {
 pub struct Vm {
     mem: Memory,
     trace: Trace,
+    /// The authority: site content to id, numbered in first-seen order.
     sites: HashMap<Loc, StaticId, BuildHasherDefault<SiteHasher>>,
+    /// `Location` address to id: a cache in front of `sites`.
+    site_cache: HashMap<usize, StaticId, BuildHasherDefault<SiteHasher>>,
     next_sid: u32,
     next_gpr: u8,
     next_vpr: u8,
@@ -241,6 +251,7 @@ impl Vm {
             mem: Memory::new(),
             trace: Trace::new(),
             sites: HashMap::default(),
+            site_cache: HashMap::default(),
             next_sid: 1,
             next_gpr: 0,
             next_vpr: 0,
@@ -309,18 +320,29 @@ impl Vm {
 
     #[track_caller]
     fn site(&mut self) -> StaticId {
-        let l = Location::caller();
-        let key = (l.file(), l.line(), l.column());
-        if let Some(&sid) = self.sites.get(&key) {
-            sid
-        } else {
-            let sid = StaticId(
-                u16::try_from(self.next_sid).expect("more than 65,535 static sites in one program"),
-            );
-            self.next_sid += 1;
-            self.sites.insert(key, sid);
-            sid
+        self.site_of(Location::caller())
+    }
+
+    /// The id of the site at `l`: from the address cache, else from the
+    /// content map (issuing the next id on first sight), then cached.
+    fn site_of(&mut self, l: &'static Location<'static>) -> StaticId {
+        let addr = std::ptr::from_ref(l) as usize;
+        if let Some(&sid) = self.site_cache.get(&addr) {
+            return sid;
         }
+        let next = &mut self.next_sid;
+        let sid = *self
+            .sites
+            .entry((l.file(), l.line(), l.column()))
+            .or_insert_with(|| {
+                let sid = StaticId(
+                    u16::try_from(*next).expect("more than 65,535 static sites in one program"),
+                );
+                *next += 1;
+                sid
+            });
+        self.site_cache.insert(addr, sid);
+        sid
     }
 
     fn alloc_gpr(&mut self) -> Gpr {
@@ -1132,6 +1154,33 @@ mod tests {
                 .is_some_and(|m| m.contains("65,535 static sites")),
             "{message:?}"
         );
+    }
+
+    /// One emitting call in a generic helper, reached through two
+    /// monomorphisations, keeps one id, and ids number in first-seen
+    /// order. A copy of a `Location` at another address (as a location
+    /// duplicated across codegen units would be) misses the address
+    /// cache and gets its id from the content map.
+    #[test]
+    fn a_site_keeps_one_id_across_callers_and_location_copies() {
+        fn emit<T: Into<i64>>(vm: &mut Vm, v: T) -> Scalar {
+            vm.li(v.into())
+        }
+        let mut vm = Vm::new();
+        let _ = vm.li(0);
+        let _ = emit(&mut vm, 1u8);
+        let _ = emit(&mut vm, 2i32);
+        let _ = vm.li(3);
+        let _ = emit(&mut vm, 4u16);
+        let sids: Vec<u16> = vm.trace().iter().map(|i| i.sid.0).collect();
+        assert_eq!(sids, [1, 2, 2, 3, 2]);
+
+        let here = Location::caller();
+        let copy: &'static Location<'static> = Box::leak(Box::new(*here));
+        assert!(!std::ptr::eq(here, copy));
+        assert_eq!(vm.site_of(here), StaticId(4));
+        assert_eq!(vm.site_of(copy), StaticId(4));
+        assert_eq!(vm.next_sid, 5, "the copy issued no id");
     }
 
     #[test]

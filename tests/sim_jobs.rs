@@ -70,6 +70,26 @@ fn sweep_drivers_keep_only_images() {
     assert_eq!(stats.materialized_traces, 0, "{stats:?}");
 }
 
+/// Table III materializes its keys on the context's workers: the table
+/// is byte-identical at 1 and 4 threads, records no batch, traces each
+/// key once and keeps no record-form trace.
+#[test]
+fn table3_is_identical_on_the_pool() {
+    let tables: Vec<String> = [1usize, 4]
+        .iter()
+        .map(|&threads| {
+            let ctx = SimContext::new(threads);
+            let table = table3::run_with(&ctx, 4, 17).render();
+            assert!(ctx.batches().is_empty(), "{:?}", ctx.batches());
+            let stats = ctx.store().stats();
+            assert!(stats.traced_exactly_once(), "{stats:?}");
+            assert_eq!(stats.materialized_traces, 0, "{stats:?}");
+            table
+        })
+        .collect();
+    assert_eq!(tables[0], tables[1], "4 threads diverged from serial");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -204,5 +224,62 @@ fn kept_warm_states_stay_within_64_kib_per_key() {
     for (label, image) in matrix_images(200) {
         let bytes = WarmState::take(memory, &image).approx_bytes();
         assert!(bytes <= 64 * 1024, "{label}: {bytes} bytes");
+    }
+}
+
+/// The image checksum of every matrix key at 20 executions, seed
+/// 20070426, pinned so a faster tracer or image builder cannot change a
+/// site id, a producer distance or a dependence list unnoticed.
+#[test]
+fn matrix_image_checksums_are_pinned() {
+    const PINNED: [(&str, u64); 33] = [
+        ("luma16x16.scalar", 0xfedb_74a9_cddd_a393),
+        ("luma16x16.altivec", 0x2324_8b2a_9340_585c),
+        ("luma16x16.unaligned", 0xe02b_c189_1c4b_3f27),
+        ("luma8x8.scalar", 0x90f7_436a_fbb3_be6e),
+        ("luma8x8.altivec", 0x8463_ed7d_8b40_a155),
+        ("luma8x8.unaligned", 0xcc53_8220_d267_c8dd),
+        ("luma4x4.scalar", 0x4361_cb90_2757_bae3),
+        ("luma4x4.altivec", 0xb052_6ffb_e16e_890e),
+        ("luma4x4.unaligned", 0xc59b_6b65_5085_4201),
+        ("chroma8x8.scalar", 0xa1e9_1cc0_e89d_4c12),
+        ("chroma8x8.altivec", 0x8050_c1a5_72d7_f375),
+        ("chroma8x8.unaligned", 0x6d69_8cf1_d920_3356),
+        ("chroma4x4.scalar", 0xb4f9_26b9_a97a_2bac),
+        ("chroma4x4.altivec", 0xb361_67af_312f_ac73),
+        ("chroma4x4.unaligned", 0xafa7_db8c_fdf0_38b9),
+        ("idct8x8.scalar", 0xe3b8_73e4_6b51_d6f0),
+        ("idct8x8.altivec", 0xf151_bdbe_f61a_d697),
+        ("idct8x8.unaligned", 0x6042_2daa_871f_9a7f),
+        ("idct4x4.scalar", 0x33a9_2b6f_cafe_9cd2),
+        ("idct4x4.altivec", 0xafd4_a4ce_6d86_ab06),
+        ("idct4x4.unaligned", 0x6b5f_8e5b_3c29_96db),
+        ("idct4x4_matrix.scalar", 0x226a_fa71_0c86_a7e8),
+        ("idct4x4_matrix.altivec", 0xec33_8f95_b5a7_623f),
+        ("idct4x4_matrix.unaligned", 0x966c_fe9c_92ce_2638),
+        ("sad16x16.scalar", 0x954b_5a12_0091_3b96),
+        ("sad16x16.altivec", 0x9eea_706d_41aa_4afd),
+        ("sad16x16.unaligned", 0xcc7f_2001_99e1_0f87),
+        ("sad8x8.scalar", 0x667f_3fba_2f9c_5a97),
+        ("sad8x8.altivec", 0x87f4_a597_1ff8_a28c),
+        ("sad8x8.unaligned", 0xbcbc_618d_2f19_c760),
+        ("sad4x4.scalar", 0x2529_7ea5_c8a3_f0aa),
+        ("sad4x4.altivec", 0xe395_77ca_ea6d_dd3b),
+        ("sad4x4.unaligned", 0xeb3a_628e_06af_9b7b),
+    ];
+    let keys = matrix_keys(20, 20070426);
+    assert_eq!(keys.len(), PINNED.len());
+    for (key, (label, pinned)) in keys.into_iter().zip(PINNED) {
+        assert_eq!(
+            format!("{}.{}", key.kernel.label(), key.variant.label()),
+            label
+        );
+        let image = image_kernel(key.kernel, key.variant, key.execs, key.seed);
+        assert_eq!(
+            image.checksum(),
+            pinned,
+            "{label}: {:#018x}",
+            image.checksum()
+        );
     }
 }
